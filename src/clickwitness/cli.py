@@ -23,8 +23,9 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from .detectors import (
     DetectorConfig,
@@ -48,8 +49,10 @@ from .scenarios import (
 )
 from .witnesses import (
     IndexSet,
+    check_admissible,
     count_matrix,
     enumerate_index_sets,
+    min_eig_sweep,
     moment_matrix,
 )
 
@@ -82,29 +85,34 @@ def _slug(text: str) -> str:
 
 
 def _resolve_sets(scenario: Scenario) -> list[IndexSet]:
-    from .witnesses import _check_counts_admissible, _check_moments_admissible
-
     cfg = scenario.detector
     if isinstance(scenario.sets, str):
         sets = enumerate_index_sets(cfg)
         if scenario.sets == "all":
-            return [s for s in sets if s.elements]
-        if cfg.model == PNR:
+            resolved = [s for s in sets if s.elements]
+        elif cfg.model == PNR:
             raise ValueError(
                 "the multinomial model needs sets='all' or explicit sets"
             )
-        return [s for s in sets if s.label == scenario.sets]
-    cap = cfg.bins if cfg.model in (ONOFF, PNR) else None
-    resolved = [
-        IndexSet(tuple(elements), label, model_cap=cap)
-        for label, elements in scenario.sets
-    ]
-    # explicit sets must be admissible before any evaluation starts
+        else:
+            resolved = [s for s in sets if s.label == scenario.sets]
+    else:
+        cap = cfg.bins if cfg.model in (ONOFF, PNR) else None
+        resolved = [
+            IndexSet(tuple(elements), label, model_cap=cap)
+            for label, elements in scenario.sets
+        ]
+    # every set must be admissible, within the dimension cap included,
+    # before any evaluation starts
     for iset in resolved:
         for kind in scenario.kinds:
-            check = _check_counts_admissible if kind == "counts" else _check_moments_admissible
-            check(iset, cfg)
+            check_admissible(iset, cfg, kind)
     return resolved
+
+
+def _per_point(values, grid) -> list:
+    """One value per grid point; a value shared by the whole grid repeats."""
+    return np.broadcast_to(values, (len(grid),)).tolist()
 
 
 def _matrix_rows(scenario: Scenario) -> list[tuple]:
@@ -113,24 +121,20 @@ def _matrix_rows(scenario: Scenario) -> list[tuple]:
     if not isets:
         raise ValueError(f"no index sets selected by {scenario.sets!r}")
     grid = scenario.sweep.grid()
-
-    def at_point(alpha2: float) -> list[tuple]:
-        rows = []
-        for state_label, state in scenario.state.build(alpha2):
-            for kind in scenario.kinds:
-                build = count_matrix if kind == "counts" else moment_matrix
-                for iset in isets:
-                    report = build(state, cfg, iset)
+    rows = []
+    for state_label, states in scenario.state.stack(grid):
+        values: dict = {}
+        for kind in scenario.kinds:
+            for iset in isets:
+                min_eig, verdicts = min_eig_sweep(states, cfg, kind, iset, values)
+                for alpha2, value, verdict in zip(
+                        grid, _per_point(min_eig, grid), _per_point(verdicts, grid)):
                     rows.append((
-                        alpha2, iset.label, f"{kind}_min_eig", report.min_eig,
-                        "", report.verdict, state_label, cfg.efficiency,
+                        alpha2, iset.label, f"{kind}_min_eig", value,
+                        "", verdict, state_label, cfg.efficiency,
                         cfg.bins, cfg.levels, scenario.state.modes,
                     ))
-        return rows
-
-    with ThreadPoolExecutor() as pool:
-        chunks = list(pool.map(at_point, grid))
-    return [row for chunk in chunks for row in chunk]
+    return rows
 
 
 def _case_indices(case: str, modes: int) -> tuple[MultiIndex, MultiIndex]:
@@ -148,42 +152,36 @@ def _case_indices(case: str, modes: int) -> tuple[MultiIndex, MultiIndex]:
 
 def _ratio_rows(scenario: Scenario) -> list[tuple]:
     grid = scenario.sweep.grid()
-    jobs = [
-        (mu, case) for mu in scenario.mode_counts for case in scenario.cases
-    ]
-
-    def at_job(job: tuple[int, str]) -> list[tuple]:
-        mu, case = job
-        n_idx, m_idx = _case_indices(case, mu)
-        set_id = f"case_{case}_mu{mu}"
-        rows = []
-        for alpha2 in grid:
-            for state_label, state in scenario.state.build(alpha2, modes=mu):
-                result = ratio_criterion(state, n_idx, m_idx)
-                mean_n = mean_total_photons(state)
-                rows.append((
-                    alpha2, set_id, "moment_ratio", result.ratio, "",
-                    result.verdict, state_label, 1.0, "", "", mu,
-                ))
-                rows.append((
-                    alpha2, set_id, "mean_photon_number", mean_n, "",
-                    "", state_label, 1.0, "", "", mu,
-                ))
-        return rows
-
-    with ThreadPoolExecutor() as pool:
-        chunks = list(pool.map(at_job, jobs))
-    return [row for chunk in chunks for row in chunk]
+    rows = []
+    for mu in scenario.mode_counts:
+        for state_label, states in scenario.state.stack(grid, modes=mu):
+            mean_n = _per_point(mean_total_photons(states), grid)
+            for case in scenario.cases:
+                n_idx, m_idx = _case_indices(case, mu)
+                set_id = f"case_{case}_mu{mu}"
+                result = ratio_criterion(states, n_idx, m_idx)
+                for alpha2, ratio, verdict, mean in zip(
+                        grid, _per_point(result.ratio, grid),
+                        _per_point(result.verdict, grid), mean_n):
+                    rows.append((
+                        alpha2, set_id, "moment_ratio", ratio, "",
+                        verdict, state_label, 1.0, "", "", mu,
+                    ))
+                    rows.append((
+                        alpha2, set_id, "mean_photon_number", mean, "",
+                        "", state_label, 1.0, "", "", mu,
+                    ))
+    return rows
 
 
 def run(scenario: Scenario, outdir=None) -> list[Path]:
     """Execute a scenario; returns the written file paths."""
     outdir = Path(outdir or os.environ.get(ENV_OUTDIR) or scenario.output.path)
-    outdir.mkdir(parents=True, exist_ok=True)
     if tuple(scenario.criteria) == MATRIX_CRITERIA:
         rows = _matrix_rows(scenario)
     else:
         rows = _ratio_rows(scenario)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     grouped: dict[tuple[str, str], list[tuple]] = {}
     for row in rows:
@@ -460,9 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "kind", None) is not None and not args.kind:
-        args.kind = ["counts"]
-    elif getattr(args, "kind", "missing") is None:
+    if getattr(args, "kind", "missing") is None:
         args.kind = ["counts"]
     try:
         return args.handler(args)

@@ -7,20 +7,23 @@
 
 Dark counts nu enter per bin through the affine response.  All outcome
 probabilities and moments are expectations of :class:`~.states.NOExpr`
-expressions; the expressions are built once per configuration and cached,
-since parameter sweeps re-evaluate them at thousands of amplitudes.
+expressions.  Coherent superpositions are evaluated through the product
+form of :func:`povm_product_value`, elementwise over a whole
+:class:`~.states.CoherentStack` of grid points at once.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 from .numerics import MAX_EXACT_N, binom, falling_factorial, multinom
 from .states import (
+    CoherentStack,
     CoherentSuperposition,
     FockVector,
     Mixture,
@@ -28,6 +31,7 @@ from .states import (
     StateSpec,
     expect_any,
     expect_fock,
+    pair_sum,
 )
 
 _NEG_TOL = 1e-14
@@ -132,7 +136,7 @@ class CountDistribution:
 
 
 # --------------------------------------------------------------------------
-# cached expression builders
+# expression builders
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +161,6 @@ def _click_moment_expr(m: int, rate: float, offset: float) -> NOExpr:
     return NOExpr(terms, rate, offset)
 
 
-@lru_cache(maxsize=None)
 def _povm_exprs(levels: int, rate: float, offset: float) -> tuple[NOExpr, ...]:
     # pi_j = :G^j/j! exp(-G):  for j < K, and pi_K completes to the identity.
     lower = [
@@ -176,7 +179,6 @@ def _povm_exprs(levels: int, rate: float, offset: float) -> tuple[NOExpr, ...]:
     return povm
 
 
-@lru_cache(maxsize=None)
 def _povm_product_expr(levels: int, exponents: tuple[int, ...],
                        rate: float, offset: float) -> NOExpr:
     povm = _povm_exprs(levels, rate, offset)
@@ -197,60 +199,69 @@ def _povm_product_expr(levels: int, exponents: tuple[int, ...],
 # per-factor exponentials folded into the coherent-overlap exponent.
 
 
-def _low_poly(y: complex, levels: int) -> complex:
+def _low_poly(y: np.ndarray, levels: int) -> np.ndarray:
     """sum_{j < levels} y^j / j!"""
-    total = 1.0 + 0j
-    term = 1.0 + 0j
+    total = np.ones_like(y)
+    term = np.ones_like(y)
     for j in range(1, levels):
-        term *= y / j
-        total += term
+        term = term * (y / j)
+        total = total + term
     return total
 
 
-def _tail_series(y: complex, levels: int) -> complex:
-    """sum_{j >= levels} y^j / j!, accurate for |y| < 1."""
+def _tail_series(y: np.ndarray, levels: int) -> np.ndarray:
+    """sum_{j >= levels} y^j / j!, accurate for |y| < 1.
+
+    Each element stops taking terms once its last term falls below 1e-20
+    of its sum, or after 60 terms.
+    """
     term = y ** levels / math.factorial(levels)
     total = term
-    j = levels
-    while j < levels + 60:
-        j += 1
-        term *= y / j
-        total += term
-        if abs(term) <= 1e-20 * max(abs(total), 1e-300):
+    active = np.ones(y.shape, dtype=bool)
+    for j in range(levels + 1, levels + 61):
+        term = term * (y / j)
+        total = np.where(active, total + term, total)
+        active &= np.abs(term) > 1e-20 * np.maximum(np.abs(total), 1e-300)
+        if not active.any():
             break
     return total
 
 
-def _pair_product_value(y: complex, overlap_exp: complex,
-                        exponents: tuple[int, ...], levels: int) -> complex:
+def _pair_product(y: np.ndarray, overlap_exp: np.ndarray,
+                  exponents: tuple[int, ...], levels: int) -> np.ndarray:
     """prod_j pi_j(y)^{e_j} times exp(overlap_exp), evaluated stably.
 
     pi_j(y) = y^j/j! exp(-y) for j < K and pi_K(y) = 1 - exp(-y) poly(y);
     every exp(-y) factor is folded into the overlap exponent so that large
-    opposing exponents cancel analytically.
+    opposing exponents cancel analytically.  Where |y| < 1, pi_K comes from
+    the tail series, and its exp(-y) is folded too.
     """
     folded = sum(exponents[:levels])
-    poly = 1.0 + 0j
+    poly = np.ones_like(y)
     for j in range(1, levels):
         if exponents[j]:
-            poly *= (y ** j / math.factorial(j)) ** exponents[j]
+            poly = poly * (y ** j / math.factorial(j)) ** exponents[j]
     last = exponents[levels]
     if last:
-        if abs(y) < 1.0:
-            poly *= _tail_series(y, levels) ** last
-            folded += last
-        else:
-            poly *= (1.0 - cmath.exp(-y) * _low_poly(y, levels)) ** last
-    return cmath.exp(overlap_exp - folded * y) * poly
+        small = np.abs(y) < 1.0
+        # Each branch gets 0 where the other one applies, so the unused
+        # branch can neither overflow nor warn.
+        tail = _tail_series(np.where(small, y, 0.0), levels)
+        big = np.where(small, 0.0, y)
+        head = 1.0 - np.exp(-big) * _low_poly(big, levels)
+        poly = poly * np.where(small, tail, head) ** last
+        folded = folded + np.where(small, last, 0)
+    return np.exp(overlap_exp - folded * y) * poly
 
 
-def povm_product_value(state: StateSpec, cfg: DetectorConfig,
-                       exponents: tuple[int, ...]) -> float:
+def povm_product_value(state, cfg: DetectorConfig, exponents: tuple[int, ...]):
     """Expectation <: pi_0^{e_0} ... pi_K^{e_K} :> via the product form.
 
     The on-off model is the K = 1 case with exponents (no-click, click).
     Fock-basis states fall back to the expanded-expression oracle, which is
-    stable there because probabilities enter with positive weights.
+    stable there because probabilities enter with positive weights.  A
+    :class:`~.states.CoherentStack` gives an array with one value per grid
+    point; a single superposition is the one-point stack.
     """
     if cfg.model == PHOTOELECTRIC:
         raise ValueError("POVM products apply to the multiplexed models")
@@ -266,33 +277,21 @@ def povm_product_value(state: StateSpec, cfg: DetectorConfig,
         return expect_fock(
             state, _povm_product_expr(levels, exponents, cfg.gamma_rate, cfg.dark)
         )
-    if not isinstance(state, CoherentSuperposition):
+    if isinstance(state, CoherentSuperposition):
+        return float(povm_product_value(CoherentStack([state]), cfg, exponents)[0])
+    if not isinstance(state, CoherentStack):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     if state.modes != 1:
         raise ValueError("detector models address a single mode")
-    rate, offset = cfg.gamma_rate, cfg.dark
-    total = 0j
-    for wi, (ai,) in zip(state.weights, state.amplitudes):
-        for wj, (aj,) in zip(state.weights, state.amplitudes):
-            pair = wi.conjugate() * wj
-            if pair == 0j:
-                continue
-            x = ai.conjugate() * aj
-            overlap_exp = -0.5 * (abs(ai) ** 2 + abs(aj) ** 2) + x
-            y = rate * x + offset
-            total += pair * _pair_product_value(y, overlap_exp, exponents, levels)
-    if abs(total.imag) > 1e-10 * max(1.0, abs(total.real)):
-        raise ArithmeticError(f"non-Hermitian imaginary residual: {total}")
-    return total.real
+    y = cfg.gamma_rate * state.x[..., 0] + cfg.dark
+    # an overflow is reported by pair_sum, with the grid points it hit
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = state.pair * _pair_product(y, state.overlap[..., 0], exponents, levels)
+    return pair_sum(terms)
 
 
 # --------------------------------------------------------------------------
 # public expression accessors (shared with the witness-matrix assembly)
-
-
-def photo_count_expression(cfg: DetectorConfig, n: int) -> NOExpr:
-    """Expression whose expectation is the photocount probability p_n."""
-    return _photo_expr(n, cfg.gamma_rate, cfg.dark)
 
 
 def click_outcome_expression(cfg: DetectorConfig, k: int) -> NOExpr:

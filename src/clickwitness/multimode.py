@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .numerics import HalfInt, SymMatrix
 from .states import NOExpr, StateSpec, expect
 from .witnesses import (
@@ -110,7 +112,7 @@ def joint_counts(state: StateSpec, index: MultiIndex, eta: float = 1.0) -> float
 
 
 def mean_total_photons(state: StateSpec, eta: float = 1.0) -> float:
-    """Total detected photon number sum_j <eta n_j>."""
+    """Total detected photon number sum_j <eta n_j>; an array for a stack."""
     total = 0.0
     for mode in range(state.modes):
         parts = tuple(HalfInt(2 if j == mode else 0) for j in range(state.modes))
@@ -201,7 +203,10 @@ def ratio_criterion(state: StateSpec, n: MultiIndex, m: MultiIndex,
 
     Classical light keeps the ratio at or below one.  For even and odd
     superpositions of +/- coherent amplitudes the four class/parity cases
-    give 1, tanh^(+/-2), coth^(+/-2), and 1 respectively.
+    give 1, tanh^(+/-2), coth^(+/-2), and 1 respectively.  A vanishing
+    denominator gives a NaN ratio and no verdict.  For a
+    :class:`~.states.CoherentStack` the ratio and verdict are arrays with
+    one entry per grid point.
     """
     pair = n + m
     if not pair.is_whole:
@@ -209,10 +214,14 @@ def ratio_criterion(state: StateSpec, n: MultiIndex, m: MultiIndex,
     case = _classify(n, m)
     numer = joint_moment(state, pair, eta) ** 2
     denom = joint_moment(state, n * 2, eta) * joint_moment(state, m * 2, eta)
-    if denom == 0.0:
-        return RatioResult(math.nan, case, INDETERMINATE)
-    ratio = numer / denom
-    verdict = NONCLASSICAL if ratio > 1.0 + 1e-10 else NO_VIOLATION
+    zero = np.equal(denom, 0.0)
+    ratio = np.where(zero, math.nan, numer / np.where(zero, 1.0, denom))
+    verdict = np.where(
+        zero, INDETERMINATE,
+        np.where(ratio > 1.0 + 1e-10, NONCLASSICAL, NO_VIOLATION),
+    )
+    if ratio.ndim == 0:
+        return RatioResult(float(ratio), case, str(verdict))
     return RatioResult(ratio, case, verdict)
 
 

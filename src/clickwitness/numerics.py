@@ -181,10 +181,11 @@ class SymMatrix:
         return f"SymMatrix(dim={self.dim})"
 
 
-def _check_small_finite(matrix: SymMatrix, op: str) -> None:
-    if matrix.dim > MAX_DIM:
-        raise ValueError(f"{op} supports dim <= {MAX_DIM}, got {matrix.dim}")
-    if not np.all(np.isfinite(matrix.entries)):
+def _check_small_finite(entries: np.ndarray, op: str) -> None:
+    dim = entries.shape[-1]
+    if dim > MAX_DIM:
+        raise ValueError(f"{op} supports dim <= {MAX_DIM}, got {dim}")
+    if not np.all(np.isfinite(entries)):
         raise ValueError(f"{op} requires finite entries")
 
 
@@ -194,13 +195,22 @@ def min_eigenvalue(matrix: SymMatrix) -> float:
     Backed by LAPACK's symmetric eigensolver; at dim <= 16 the result is
     accurate to well below 1e-12 relative to the largest entry.
     """
-    _check_small_finite(matrix, "min_eigenvalue")
-    return float(np.linalg.eigvalsh(matrix.entries)[0])
+    return float(min_eigenvalues(matrix.entries))
+
+
+def min_eigenvalues(entries: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of every symmetric matrix in a (..., d, d) stack.
+
+    One eigensolver call covers the whole stack, under the same dimension
+    and finiteness checks as :func:`min_eigenvalue`.
+    """
+    _check_small_finite(entries, "min_eigenvalue")
+    return np.linalg.eigvalsh(entries)[..., 0]
 
 
 def leading_minors(matrix: SymMatrix) -> list[float]:
     """Determinants of the leading principal 1x1, 2x2, ..., dim x dim blocks."""
-    _check_small_finite(matrix, "leading_minors")
+    _check_small_finite(matrix.entries, "leading_minors")
     return [
         float(np.linalg.det(matrix.entries[:k, :k]))
         for k in range(1, matrix.dim + 1)

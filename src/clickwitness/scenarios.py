@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detectors import DetectorConfig
-from .states import FockVector, StateSpec, coherent_state, make_cat
+from .states import CoherentStack, FockVector, StateSpec, coherent_state, make_cat
 
 MATRIX_CRITERIA = ("min_eig",)
 RATIO_CRITERIA = ("moment_ratio", "mean_photon_number")
@@ -57,6 +57,21 @@ class StateInput:
         parities = ("even", "odd") if self.parity == "both" else (self.parity,)
         return [
             (f"cat_{parity}", make_cat(amp, parity, modes)) for parity in parities
+        ]
+
+    def stack(self, grid, modes: int | None = None) -> list[tuple[str, object]]:
+        """The states of every grid point, one entry per state label.
+
+        Coherent and cat inputs give a :class:`~.states.CoherentStack` of
+        the states :meth:`build` makes at each point.  A Fock input is the
+        same state at every point, so it is returned once, unstacked.
+        """
+        if self.kind == "fock":
+            return self.build(grid[0], modes)
+        per_point = [self.build(alpha2, modes) for alpha2 in grid]
+        return [
+            (label, CoherentStack([states[k][1] for states in per_point]))
+            for k, (label, _) in enumerate(per_point[0])
         ]
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -37,14 +36,6 @@ _FOCK_CAP = 960
 
 # --------------------------------------------------------------------------
 # normally ordered expressions
-
-
-@lru_cache(maxsize=None)
-def _term_arrays(terms):
-    coeffs = np.array([t[0] for t in terms], dtype=float)
-    powers = np.array([t[1] for t in terms], dtype=np.int64)
-    decays = np.array([t[2] for t in terms], dtype=float)
-    return coeffs, powers, decays
 
 
 @dataclass(frozen=True)
@@ -169,22 +160,22 @@ class NOExpr:
 
     # -- evaluation
 
-    def value_with_exponent(self, x: complex, extra: complex = 0j) -> complex:
-        """Evaluate sum_t coeff_t y^power_t exp(extra - decay_t y) at y = rate x + offset.
+    def values(self, x, extra=0j) -> np.ndarray:
+        """sum_t coeff_t y^power_t exp(extra - decay_t y) at y = rate x + offset.
 
+        Elementwise over the broadcast shape of ``x`` and ``extra``.
         ``extra`` carries the coherent-overlap exponent so that large
         positive and negative exponents cancel before exponentiation; this
         keeps cat-state cross terms finite over wide amplitude sweeps.
         """
-        if not self.terms:
-            return 0j
-        y = self.rate * complex(x) + self.offset
-        coeffs, powers, decays = _term_arrays(self.terms)
-        vals = coeffs * np.power(y, powers) * np.exp(complex(extra) - decays * y)
-        return complex(np.sum(vals))
+        y = self.rate * np.asarray(x, dtype=complex) + self.offset
+        total = np.zeros(np.broadcast(y, extra).shape, dtype=complex)
+        for coeff, power, decay in self.terms:
+            total = total + coeff * np.power(y, power) * np.exp(extra - decay * y)
+        return total
 
     def value_at(self, x: complex) -> complex:
-        return self.value_with_exponent(x, 0j)
+        return complex(self.values(x))
 
     def max_power(self) -> int:
         return max((p for _, p, _ in self.terms), default=0)
@@ -345,39 +336,82 @@ def _per_mode_exprs(expr, modes: int) -> tuple[NOExpr, ...]:
     return exprs
 
 
-def expect(state: StateSpec, expr) -> float:
+class CoherentStack:
+    """Coherent superpositions at G grid points, held as arrays.
+
+    ``weights`` has shape (G, C) and ``amplitudes`` shape (G, C, modes);
+    a state with fewer than C components is padded with zero weights, which
+    add exact zeros to every expectation.  The pair arrays that every
+    expectation needs are built once here: ``pair`` = conj(w_i) w_j of
+    shape (G, C, C), and per mode ``x`` = conj(a_i) a_j and the overlap
+    exponent ``overlap`` = log <a_i|a_j>, both of shape (G, C, C, modes).
+    """
+
+    def __init__(self, states: Sequence[CoherentSuperposition]):
+        if not states:
+            raise ValueError("a stack needs at least one state")
+        modes = states[0].modes
+        if any(state.modes != modes for state in states):
+            raise ValueError("all stacked states must share the mode count")
+        width = max(len(state.weights) for state in states)
+        self.weights = np.zeros((len(states), width), dtype=complex)
+        self.amplitudes = np.zeros((len(states), width, modes), dtype=complex)
+        for g, state in enumerate(states):
+            self.weights[g, :len(state.weights)] = state.weights
+            self.amplitudes[g, :len(state.weights)] = state.amplitudes
+        w, a = self.weights, self.amplitudes
+        self.pair = w.conj()[:, :, None] * w[:, None, :]
+        self.x = a.conj()[:, :, None, :] * a[:, None, :, :]
+        norm = np.abs(a) ** 2
+        self.overlap = -0.5 * (norm[:, :, None, :] + norm[:, None, :, :]) + self.x
+
+    @property
+    def modes(self) -> int:
+        return self.amplitudes.shape[2]
+
+
+def pair_sum(terms: np.ndarray) -> np.ndarray:
+    """Real part of sum_ij terms[:, i, j], one value per grid point.
+
+    Pairs are added one at a time in row-major order.  A sum that
+    overflowed raises OverflowError; an imaginary part above 1e-10 of
+    max(1, |real part|) means a non-Hermitian input and raises too.
+    """
+    flat = terms.reshape(terms.shape[0], -1)
+    total = sum(flat[:, k] for k in range(flat.shape[1]))
+    if not np.all(np.isfinite(total)):
+        raise OverflowError(f"expectation is not finite: {total}")
+    bad = np.abs(total.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(total.real))
+    if bad.any():
+        raise ArithmeticError(
+            f"expectation has a non-Hermitian imaginary residual: {total[bad][0]}"
+        )
+    return total.real
+
+
+def expect(state, expr):
     """Expectation of a normally ordered expression on the analytic backend.
 
     Supports coherent superpositions and mixtures thereof; Fock-basis states
     must go through :func:`expect_fock`, which is kept separate as the
     independent oracle.  For multimode states, ``expr`` is a sequence with
-    one expression per mode and the product over modes is taken.
+    one expression per mode and the product over modes is taken.  A
+    :class:`CoherentStack` gives an array with one value per grid point; a
+    single superposition is the one-point stack.
     """
+    if isinstance(state, CoherentStack):
+        factor = None
+        for mode, mode_expr in enumerate(_per_mode_exprs(expr, state.modes)):
+            value = mode_expr.values(state.x[..., mode], state.overlap[..., mode])
+            factor = value if factor is None else factor * value
+        return pair_sum(state.pair * factor)
     if isinstance(state, Mixture):
         return sum(p * expect(part, expr) for p, part in state.parts)
     if isinstance(state, FockVector):
         raise TypeError("expect handles coherent superpositions; use expect_fock")
     if not isinstance(state, CoherentSuperposition):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    exprs = _per_mode_exprs(expr, state.modes)
-    total = 0j
-    for wi, ai in zip(state.weights, state.amplitudes):
-        for wj, aj in zip(state.weights, state.amplitudes):
-            pair = wi.conjugate() * wj
-            if pair == 0j:
-                continue
-            factor = 1.0 + 0j
-            for mode_expr, am, bm in zip(exprs, ai, aj):
-                x = am.conjugate() * bm
-                overlap_exp = -0.5 * (abs(am) ** 2 + abs(bm) ** 2) + x
-                factor *= mode_expr.value_with_exponent(x, overlap_exp)
-            total += pair * factor
-    scale = max(1.0, abs(total.real))
-    if abs(total.imag) > _IMAG_TOL * scale:
-        raise ArithmeticError(
-            f"expectation has a non-Hermitian imaginary residual: {total}"
-        )
-    return total.real
+    return float(expect(CoherentStack([state]), expr)[0])
 
 
 # --------------------------------------------------------------------------

@@ -29,11 +29,13 @@ from .detectors import (
     povm_product_value,
 )
 from .numerics import (
+    MAX_DIM,
     HalfInt,
     SymMatrix,
     binom,
     leading_minors,
     min_eigenvalue,
+    min_eigenvalues,
     multinom,
 )
 from .states import NOExpr, StateSpec, expect_any
@@ -213,6 +215,11 @@ def enumerate_pnr_moment_sets(cfg: DetectorConfig) -> list[IndexSet]:
 # witness reports
 
 
+def nonclassical(min_eig, max_abs):
+    """The verdict rule: min_eig < -NEG_REL_TOL * max|entry|, elementwise."""
+    return min_eig < -NEG_REL_TOL * max_abs
+
+
 @dataclass(frozen=True, eq=False)
 class WitnessReport:
     """A witness matrix together with its spectral diagnostics."""
@@ -234,7 +241,7 @@ class WitnessReport:
 
     @property
     def nonclassical(self) -> bool:
-        return self.min_eig < -self.tolerance
+        return bool(nonclassical(self.min_eig, self.max_abs))
 
     @property
     def verdict(self) -> str:
@@ -260,9 +267,22 @@ def _pair_sum_multi(a: tuple, b: tuple) -> tuple[int, ...]:
     return tuple((x + y).to_int() for x, y in zip(a, b))
 
 
-def _check_counts_admissible(iset: IndexSet, cfg: DetectorConfig) -> None:
+def check_admissible(iset: IndexSet, cfg: DetectorConfig, kind: str) -> None:
+    """Reject an index set that a ``kind`` matrix of this detector cannot use.
+
+    Besides the model's structural rules this enforces the dimension cap
+    ``MAX_DIM`` of the spectral step, so that an oversized set fails before
+    any entry is evaluated.
+    """
+    if kind not in ("counts", "moments"):
+        raise ValueError(f"kind must be 'counts' or 'moments', got {kind!r}")
     if not iset.elements:
         raise ValueError(f"index set {iset.label!r} is empty")
+    if len(iset.elements) > MAX_DIM:
+        raise ValueError(
+            f"index set {iset.label!r} has dimension {len(iset.elements)}; "
+            f"witness matrices are capped at dimension {MAX_DIM}"
+        )
     if cfg.model == PNR:
         if not iset.multi or len(iset.elements[0]) != cfg.levels + 1:
             raise ValueError(
@@ -270,34 +290,12 @@ def _check_counts_admissible(iset: IndexSet, cfg: DetectorConfig) -> None:
             )
         for element in iset.elements:
             total = sum(part.twice for part in element)
-            if total != cfg.bins:
+            if kind == "counts" and total != cfg.bins:
                 raise ValueError(
                     f"element {_format_element(element)} sums to {total}/2, "
                     f"needs N/2 = {cfg.bins}/2"
                 )
-        return
-    if iset.multi:
-        raise ValueError(f"{cfg.model} model uses scalar index sets")
-    if cfg.model == ONOFF:
-        for i, a in enumerate(iset.elements):
-            for b in iset.elements[i:]:
-                if a.twice + b.twice > 2 * cfg.bins:
-                    raise ValueError(
-                        f"pair {a}, {b} exceeds the click resolution N={cfg.bins}"
-                    )
-
-
-def _check_moments_admissible(iset: IndexSet, cfg: DetectorConfig) -> None:
-    if not iset.elements:
-        raise ValueError(f"index set {iset.label!r} is empty")
-    if cfg.model == PNR:
-        if not iset.multi or len(iset.elements[0]) != cfg.levels + 1:
-            raise ValueError(
-                f"index set {iset.label!r} does not match K={cfg.levels} outcomes"
-            )
-        for element in iset.elements:
-            total = sum(part.twice for part in element)
-            if total > cfg.bins:
+            if kind == "moments" and total > cfg.bins:
                 raise ValueError(
                     f"element {_format_element(element)} exceeds the moment "
                     f"bound N/2 = {cfg.bins}/2"
@@ -314,10 +312,49 @@ def _check_moments_admissible(iset: IndexSet, cfg: DetectorConfig) -> None:
                     )
 
 
+def entry_quantity(cfg: DetectorConfig, kind: str, a, b):
+    """The expectation behind entry (a, b) of a ``kind`` witness matrix.
+
+    Every entry depends on the label pair sum s = a + b only.  The
+    multiplexed models give POVM exponents: (N - s, s) for click counts
+    c_s / C(N, s), (0, s) for click moments <:pi^s:>, and the multi-index s
+    itself for both multinomial kinds.  The photoelectric model gives a
+    NOExpr: <:G^s exp(-G):> = s! p_s for counts, <:(eta n)^s:> for moments.
+    """
+    if cfg.model == PNR:
+        return _pair_sum_multi(a, b)
+    s = _pair_sum_scalar(a, b)
+    if cfg.model == ONOFF:
+        return (cfg.bins - s, s) if kind == "counts" else (0, s)
+    if kind == "counts":
+        return NOExpr.monomial(1.0, s, 1.0, cfg.gamma_rate, cfg.dark)
+    return NOExpr.monomial(1.0, s, 0.0, cfg.efficiency, 0.0)
+
+
+def _expectation(state, cfg: DetectorConfig, quantity):
+    """Value of an :func:`entry_quantity`; an array for a CoherentStack."""
+    if isinstance(quantity, NOExpr):
+        return expect_any(state, quantity)
+    return povm_product_value(state, cfg, quantity)
+
+
 def _metadata(state, cfg, iset, **extra) -> dict:
     meta = {"state": state, "config": cfg, "set": iset.label}
     meta.update(extra)
     return meta
+
+
+def _state_report(state: StateSpec, cfg: DetectorConfig, iset: IndexSet,
+                  kind: str) -> WitnessReport:
+    check_admissible(iset, cfg, kind)
+    labels = iset.elements
+
+    def entry(i, j):
+        quantity = entry_quantity(cfg, kind, labels[i], labels[j])
+        return _expectation(state, cfg, quantity)
+
+    matrix = SymMatrix.build(len(labels), entry)
+    return _report(matrix, labels, f"{kind}:{cfg.model}", _metadata(state, cfg, iset))
 
 
 def count_matrix(state: StateSpec, cfg: DetectorConfig,
@@ -328,53 +365,49 @@ def count_matrix(state: StateSpec, cfg: DetectorConfig,
     clicks, and the multinomial analog for intrinsic resolution; all are
     evaluated as direct expectations rather than through a distribution.
     """
-    _check_counts_admissible(iset, cfg)
-    labels = iset.elements
-    rate, offset = cfg.gamma_rate, cfg.dark
-    if cfg.model == PHOTOELECTRIC:
-        def entry(i, j):
-            s = _pair_sum_scalar(labels[i], labels[j])
-            return expect_any(state, NOExpr.monomial(1.0, s, 1.0, rate, offset))
-    elif cfg.model == ONOFF:
-        def entry(i, j):
-            s = _pair_sum_scalar(labels[i], labels[j])
-            return povm_product_value(state, cfg, (cfg.bins - s, s))
-    else:
-        def entry(i, j):
-            s = _pair_sum_multi(labels[i], labels[j])
-            return povm_product_value(state, cfg, s)
-    matrix = SymMatrix.build(len(labels), entry)
-    return _report(matrix, labels, f"counts:{cfg.model}", _metadata(state, cfg, iset))
+    return _state_report(state, cfg, iset, "counts")
 
 
 def moment_matrix(state: StateSpec, cfg: DetectorConfig,
                   iset: IndexSet) -> WitnessReport:
     """Moment matrix M: <:(eta n)^(k+l):>, <:pi^(k+l):>, or POVM products."""
-    _check_moments_admissible(iset, cfg)
-    labels = iset.elements
-    if cfg.model == PHOTOELECTRIC:
-        eta = cfg.efficiency
+    return _state_report(state, cfg, iset, "moments")
 
-        def entry(i, j):
-            s = _pair_sum_scalar(labels[i], labels[j])
-            return expect_any(state, NOExpr.monomial(1.0, s, 0.0, eta, 0.0))
-    elif cfg.model == ONOFF:
-        def entry(i, j):
-            s = _pair_sum_scalar(labels[i], labels[j])
-            return povm_product_value(state, cfg, (0, s))
-    else:
-        def entry(i, j):
-            s = _pair_sum_multi(labels[i], labels[j])
-            return povm_product_value(state, cfg, s)
-    matrix = SymMatrix.build(len(labels), entry)
-    return _report(matrix, labels, f"moments:{cfg.model}", _metadata(state, cfg, iset))
+
+def min_eig_sweep(states, cfg: DetectorConfig, kind: str, iset: IndexSet,
+                  values: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue and verdict of the ``kind`` matrix per grid point.
+
+    ``states`` is a :class:`~.states.CoherentStack`, or one state that
+    holds at every grid point, which gives 0-d results.  ``values`` maps
+    each :func:`entry_quantity` to its values and is filled on demand, so a
+    quantity shared by entries, sets or kinds is evaluated once.  The
+    matrices form one (G, d, d) stack for a single eigensolver call.
+    """
+    check_admissible(iset, cfg, kind)
+    labels = iset.elements
+    dim = len(labels)
+    quantities = {
+        (i, j): entry_quantity(cfg, kind, labels[i], labels[j])
+        for i in range(dim) for j in range(i, dim)
+    }
+    for quantity in quantities.values():
+        if quantity not in values:
+            values[quantity] = np.asarray(_expectation(states, cfg, quantity))
+    points = np.broadcast_shapes(*(values[q].shape for q in quantities.values()))
+    entries = np.empty(points + (dim, dim))
+    for (i, j), quantity in quantities.items():
+        entries[..., i, j] = entries[..., j, i] = values[quantity]
+    min_eig = min_eigenvalues(entries)
+    flags = nonclassical(min_eig, np.abs(entries).max(axis=(-2, -1)))
+    return min_eig, np.where(flags, NONCLASSICAL, NO_VIOLATION)
 
 
 def count_matrix_from_counts(counts: CountDistribution,
                              iset: IndexSet) -> WitnessReport:
     """Counting matrix assembled from measured (or sampled) statistics."""
     cfg = counts.config
-    _check_counts_admissible(iset, cfg)
+    check_admissible(iset, cfg, "counts")
     labels = iset.elements
     if counts.kind == "photo":
         def entry(i, j):
@@ -399,7 +432,7 @@ def moment_matrix_from_counts(counts: CountDistribution,
                               iset: IndexSet) -> WitnessReport:
     """Moment matrix assembled from measured (or sampled) statistics."""
     cfg = counts.config
-    _check_moments_admissible(iset, cfg)
+    check_admissible(iset, cfg, "moments")
     labels = iset.elements
     if counts.kind == "photo":
         def entry(i, j):

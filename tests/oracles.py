@@ -3,10 +3,15 @@
 Nothing here shares code paths with the package: determinants are cofactor
 expansions, eigenvalues come from sign bisection on det(A - x I), and
 normally ordered expectations are evaluated through an explicit monomial
-series instead of the package's per-term closed form.
+series instead of the package's per-term closed form.  The single-point
+evaluators at the end take one component pair and one grid point at a time
+with Python complex arithmetic; the package evaluates whole grids as arrays.
 """
 
+import cmath
 import math
+
+import numpy as np
 
 
 def cofactor_det(rows):
@@ -104,3 +109,107 @@ def naive_product_terms(e1, e2):
         for c1, p1, d1 in e1.terms
         for c2, p2, d2 in e2.terms
     ]
+
+
+# --------------------------------------------------------------------------
+# single-point evaluators: one component pair and one grid point at a time
+
+
+def value_with_exponent(expr, x, extra=0j):
+    """sum_t coeff_t y^power_t exp(extra - decay_t y) at y = rate x + offset."""
+    if not expr.terms:
+        return 0j
+    y = expr.rate * complex(x) + expr.offset
+    coeffs = np.array([t[0] for t in expr.terms], dtype=float)
+    powers = np.array([t[1] for t in expr.terms], dtype=np.int64)
+    decays = np.array([t[2] for t in expr.terms], dtype=float)
+    vals = coeffs * np.power(y, powers) * np.exp(complex(extra) - decays * y)
+    return complex(np.sum(vals))
+
+
+def pair_expect(state, exprs):
+    """<:prod_m h_m(n_m):> of a coherent superposition, pair by pair."""
+    total = 0j
+    for wi, ai in zip(state.weights, state.amplitudes):
+        for wj, aj in zip(state.weights, state.amplitudes):
+            factor = 1.0 + 0j
+            for expr, am, bm in zip(exprs, ai, aj):
+                x = am.conjugate() * bm
+                overlap_exp = -0.5 * (abs(am) ** 2 + abs(bm) ** 2) + x
+                factor *= value_with_exponent(expr, x, overlap_exp)
+            total += wi.conjugate() * wj * factor
+    assert abs(total.imag) <= 1e-10 * max(1.0, abs(total.real))
+    return total.real
+
+
+def _low_poly(y, levels):
+    """sum_{j < levels} y^j / j!"""
+    total = 1.0 + 0j
+    term = 1.0 + 0j
+    for j in range(1, levels):
+        term *= y / j
+        total += term
+    return total
+
+
+def _tail_series(y, levels):
+    """sum_{j >= levels} y^j / j!, accurate for |y| < 1."""
+    term = y ** levels / math.factorial(levels)
+    total = term
+    j = levels
+    while j < levels + 60:
+        j += 1
+        term *= y / j
+        total += term
+        if abs(term) <= 1e-20 * max(abs(total), 1e-300):
+            break
+    return total
+
+
+def _pair_product_value(y, overlap_exp, exponents, levels):
+    """prod_j pi_j(y)^{e_j} exp(overlap_exp) for one component pair."""
+    folded = sum(exponents[:levels])
+    poly = 1.0 + 0j
+    for j in range(1, levels):
+        if exponents[j]:
+            poly *= (y ** j / math.factorial(j)) ** exponents[j]
+    last = exponents[levels]
+    if last:
+        if abs(y) < 1.0:
+            poly *= _tail_series(y, levels) ** last
+            folded += last
+        else:
+            poly *= (1.0 - cmath.exp(-y) * _low_poly(y, levels)) ** last
+    return cmath.exp(overlap_exp - folded * y) * poly
+
+
+def pair_povm_product(state, rate, offset, levels, exponents):
+    """<: pi_0^{e_0} ... pi_K^{e_K} :> of a single-mode superposition."""
+    total = 0j
+    for wi, (ai,) in zip(state.weights, state.amplitudes):
+        for wj, (aj,) in zip(state.weights, state.amplitudes):
+            x = ai.conjugate() * aj
+            overlap_exp = -0.5 * (abs(ai) ** 2 + abs(aj) ** 2) + x
+            y = rate * x + offset
+            total += wi.conjugate() * wj * _pair_product_value(
+                y, overlap_exp, exponents, levels
+            )
+    assert abs(total.imag) <= 1e-10 * max(1.0, abs(total.real))
+    return total.real
+
+
+def expanded_povm_product(levels, exponents, rate, offset):
+    """Binomially expanded expression of prod_j pi_j^{e_j}."""
+    from clickwitness.states import NOExpr
+
+    lower = [
+        NOExpr.monomial(1.0 / math.factorial(j), j, 1.0, rate, offset)
+        for j in range(levels)
+    ]
+    last = NOExpr.one(rate, offset)
+    for expr in lower:
+        last = last - expr
+    out = NOExpr.one(rate, offset)
+    for expr, e in zip(lower + [last], exponents):
+        out = out * expr ** e
+    return out

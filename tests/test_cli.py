@@ -209,6 +209,22 @@ class TestMainEntry:
             "--model", "onoff", "--bins", "5",
         ]) == 2
 
+    @pytest.mark.parametrize("flags, label, dim", [
+        (["--model", "onoff", "--bins", "32"], "integer", 17),
+        (["--model", "pnr", "--bins", "6", "--levels", "3"], "int-int-int-int", 20),
+    ])
+    def test_oversized_set_rejected_before_evaluation(
+            self, flags, label, dim, tmp_path, capsys, monkeypatch):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("an entry was evaluated")
+
+        monkeypatch.setattr("clickwitness.witnesses.povm_product_value", no_evaluation)
+        code = main(["sweep", *flags, "--points", "3", "--outdir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"index set {label!r} has dimension {dim}" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_figures_command(self, tmp_path):
         code = main(["figures", "fig1", "--outdir", str(tmp_path)])
         assert code == 0

@@ -17,8 +17,16 @@ from clickwitness.detectors import (
     pnr_moment_from_counts,
     pnr_outcomes,
     pnr_povm,
+    povm_product_value,
 )
-from clickwitness.states import FockVector, coherent_state, expect_any, make_cat, to_fock
+from clickwitness.states import (
+    CoherentStack,
+    FockVector,
+    coherent_state,
+    expect_any,
+    make_cat,
+    to_fock,
+)
 from helpers import random_cat, random_coherent, random_coherent_mixture
 
 
@@ -328,6 +336,31 @@ def test_product_form_matches_expanded_expressions():
             assert povm_product_value(state, pnr, exponents) == pytest.approx(
                 expanded, rel=1e-9, abs=1e-12
             )
+
+
+def test_stacked_povm_products_match_each_state():
+    # large |alpha|^2 next to small ones puts both branches of pi_K in one call
+    rng = np.random.default_rng(67)
+    states = [make_cat(0.0, "even"), coherent_state(5.0), random_cat(rng),
+              make_cat(0.05, "odd")]
+    stack = CoherentStack(states)
+    for cfg, exponents in (
+        (DetectorConfig.onoff(5, 0.6, 0.02), (3, 2)),
+        (DetectorConfig.pnr(4, 2, 0.6, 0.02), (1, 1, 2)),
+    ):
+        got = povm_product_value(stack, cfg, exponents)
+        assert got.shape == (len(states),)
+        for value, state in zip(got, states):
+            assert value == pytest.approx(
+                povm_product_value(state, cfg, exponents), rel=1e-14, abs=1e-15
+            )
+
+
+def test_overflowing_product_raises():
+    # exp(-y) with y = -|alpha|^2 overflows for the cross terms at |alpha|^2 = 800
+    with pytest.raises(OverflowError):
+        povm_product_value(make_cat(math.sqrt(800.0), "odd"),
+                           DetectorConfig.onoff(1, 1.0), (0, 1))
 
 
 def test_distributions_depend_on_eta_beta2_product_only():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clickwitness.states import (
+    CoherentStack,
     CoherentSuperposition,
     FockVector,
     Mixture,
@@ -252,6 +253,32 @@ class TestBackendEquivalence:
         assert expect(state, exprs) == pytest.approx(
             expect_fock_product(per_mode, exprs), rel=1e-10
         )
+
+
+class TestCoherentStack:
+    def states(self, rng):
+        # the vacuum has one component, the others two: the stack pads it
+        return [
+            make_cat(0.0, "even"),
+            coherent_state(0.3),
+            random_superposition(rng),
+            random_cat(rng),
+        ]
+
+    def test_stack_matches_each_state(self):
+        rng = np.random.default_rng(8)
+        states = self.states(rng)
+        stack = CoherentStack(states)
+        for _ in range(5):
+            expr = random_noexpr(rng)
+            got = expect(stack, expr)
+            assert got.shape == (len(states),)
+            for value, state in zip(got, states):
+                assert value == pytest.approx(expect(state, expr), rel=1e-14, abs=1e-15)
+
+    def test_mixed_mode_counts_rejected(self):
+        with pytest.raises(ValueError):
+            CoherentStack([coherent_state(1.0), coherent_state(1.0, modes=2)])
 
 
 class TestParitySupport:
