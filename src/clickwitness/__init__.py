@@ -44,7 +44,6 @@ from .states import (
     FockVector,
     Mixture,
     NOExpr,
-    cat_parity_check,
     coherent_state,
     expect,
     expect_fock,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -139,13 +139,11 @@ class CountDistribution:
 # expression builders
 
 
-@lru_cache(maxsize=None)
 def _photo_expr(n: int, rate: float, offset: float) -> NOExpr:
     # p_n = <: G^n / n! exp(-G) :>
     return NOExpr.monomial(1.0 / math.factorial(n), n, 1.0, rate, offset)
 
 
-@lru_cache(maxsize=None)
 def _click_expr(bins: int, k: int, rate: float, offset: float) -> NOExpr:
     # c_k / C(N, k) = <: exp(-G)^(N-k) (1 - exp(-G))^k :>, expanded binomially
     terms = tuple(
@@ -154,7 +152,6 @@ def _click_expr(bins: int, k: int, rate: float, offset: float) -> NOExpr:
     return NOExpr(terms, rate, offset)
 
 
-@lru_cache(maxsize=None)
 def _click_moment_expr(m: int, rate: float, offset: float) -> NOExpr:
     # <: pi^m :> with pi = 1 - exp(-G)
     terms = tuple((binom(m, j) * (-1.0) ** j, 0, float(j)) for j in range(m + 1))

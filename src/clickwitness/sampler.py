@@ -12,10 +12,15 @@ uniform is
     u_k = (z >> 11) * 2^-53
 
 and outcomes are drawn by inverting the CDF over the distribution's fixed
-lexicographic outcome order.  Bootstrap resampling quantifies the
-statistical uncertainty of the witness scalars; the minimal eigenvalue is
-not a smooth statistic, so the assumption-light bootstrap is preferred
-over jackknife-style error propagation.
+lexicographic outcome order.  Since u_k depends only on (seed, k), shots
+are drawn in fixed-size chunks of the counter range and the per-chunk
+histograms summed: memory does not grow with the shot count, and the
+histogram is bit-identical to a single pass over all shots.
+
+Bootstrap resampling quantifies the statistical uncertainty of the witness
+scalars; the minimal eigenvalue is not a smooth statistic, so the
+assumption-light bootstrap is preferred over jackknife-style error
+propagation.
 """
 
 from __future__ import annotations
@@ -45,13 +50,16 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MAX_SHOTS = 100_000_000
+# Shots per chunk: bounds the draw's memory (512 KiB per array); 2^16 measured
+# fastest against 2^12..2^20 and an unchunked draw.
+_CHUNK = 1 << 16
 
 DEFAULT_RESAMPLES = 200
 
 
-def splitmix64(seed: int, count: int) -> np.ndarray:
-    """First ``count`` outputs of the SplitMix64 stream for ``seed``."""
-    ks = np.arange(1, count + 1, dtype=np.uint64)
+def splitmix64(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """SplitMix64 outputs ``start`` .. ``start + count - 1`` for ``seed``."""
+    ks = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = np.uint64(seed & (2 ** 64 - 1)) + ks * np.uint64(_GOLDEN)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -60,9 +68,10 @@ def splitmix64(seed: int, count: int) -> np.ndarray:
     return z
 
 
-def uniform01(seed: int, count: int) -> np.ndarray:
-    """``count`` doubles in [0, 1) derived from the SplitMix64 stream."""
-    return (splitmix64(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+def uniform01(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """``count`` doubles in [0, 1) from SplitMix64 outputs ``start`` on."""
+    bits = splitmix64(seed, count, start) >> np.uint64(11)
+    return bits.astype(np.float64) * 2.0 ** -53
 
 
 def derive_seed(seed: int, stream: int = 1) -> int:
@@ -99,10 +108,13 @@ def sample(dist: CountDistribution, shots: int, seed: int) -> SampleRun:
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"distribution sums to {total}; normalize before sampling")
     cdf = np.cumsum(np.array(dist.probs))
-    draws = uniform01(seed, shots)
-    idx = np.searchsorted(cdf, draws, side="right")
-    idx = np.minimum(idx, len(dist.probs) - 1)
-    counts = np.bincount(idx, minlength=len(dist.probs))
+    size = len(dist.probs)
+    counts = np.zeros(size, dtype=np.int64)
+    for start in range(0, shots, _CHUNK):
+        draws = uniform01(seed, min(_CHUNK, shots - start), start)
+        idx = np.searchsorted(cdf, draws, side="right")
+        np.minimum(idx, size - 1, out=idx)
+        counts += np.bincount(idx, minlength=size)
     return SampleRun(seed, shots, dist, tuple(int(c) for c in counts))
 
 

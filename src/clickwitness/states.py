@@ -546,10 +546,6 @@ def photon_number_support(state: StateSpec, n_max: int | None = None) -> set[int
     return {n for n, c in enumerate(fock.coeffs) if abs(c) ** 2 > _SUPPORT_TOL}
 
 
-# Name used in the module interface for the parity diagnostic.
-cat_parity_check = photon_number_support
-
-
 def expect_any(state: StateSpec, expr) -> float:
     """Dispatch to the analytic or Fock backend by state representation."""
     if isinstance(state, Mixture):

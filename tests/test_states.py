@@ -9,13 +9,13 @@ from clickwitness.states import (
     FockVector,
     Mixture,
     NOExpr,
-    cat_parity_check,
     coherent_state,
     expect,
     expect_any,
     expect_fock,
     expect_fock_product,
     make_cat,
+    photon_number_support,
     to_fock,
 )
 from helpers import (
@@ -283,17 +283,17 @@ class TestCoherentStack:
 
 class TestParitySupport:
     def test_even_cat_has_even_support(self):
-        support = cat_parity_check(make_cat(1.0, "even"))
+        support = photon_number_support(make_cat(1.0, "even"))
         assert support
         assert all(n % 2 == 0 for n in support)
 
     def test_odd_cat_has_odd_support(self):
-        support = cat_parity_check(make_cat(1.0, "odd"))
+        support = photon_number_support(make_cat(1.0, "odd"))
         assert support
         assert all(n % 2 == 1 for n in support)
 
     def test_coherent_has_full_low_support(self):
-        support = cat_parity_check(coherent_state(1.0))
+        support = photon_number_support(coherent_state(1.0))
         assert {0, 1, 2, 3, 4} <= support
 
 
