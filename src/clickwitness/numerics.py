@@ -210,8 +210,18 @@ def min_eigenvalues(entries: np.ndarray) -> np.ndarray:
 
 def leading_minors(matrix: SymMatrix) -> list[float]:
     """Determinants of the leading principal 1x1, 2x2, ..., dim x dim blocks."""
-    _check_small_finite(matrix.entries, "leading_minors")
-    return [
-        float(np.linalg.det(matrix.entries[:k, :k]))
-        for k in range(1, matrix.dim + 1)
-    ]
+    return [float(minor) for minor in leading_minors_stack(matrix.entries)]
+
+
+def leading_minors_stack(entries: np.ndarray) -> np.ndarray:
+    """Leading principal minors of every matrix in a (..., d, d) stack.
+
+    Returns (..., d): one determinant call per minor order covers the whole
+    stack, under the same dimension and finiteness checks as
+    :func:`leading_minors`.
+    """
+    _check_small_finite(entries, "leading_minors")
+    dim = entries.shape[-1]
+    return np.stack(
+        [np.linalg.det(entries[..., :k, :k]) for k in range(1, dim + 1)], axis=-1
+    )

@@ -20,7 +20,13 @@ histogram is bit-identical to a single pass over all shots.
 Bootstrap resampling quantifies the statistical uncertainty of the witness
 scalars; the minimal eigenvalue is not a smooth statistic, so the
 assumption-light bootstrap is preferred over jackknife-style error
-propagation.
+propagation.  The redraws are one ``Generator.multinomial(shots,
+frequencies, size=resamples)`` call from a generator seeded by
+:func:`derive_seed`, the same stream as ``resamples`` single redraws, and
+are evaluated in one array pass: an (R, outcomes) probability array gives
+an (R, d, d) stack of matrices, one eigensolver call and one determinant
+call per minor order.  numpy does not promise the multinomial stream
+across versions; a golden-value test pins it.
 """
 
 from __future__ import annotations
@@ -33,16 +39,21 @@ from pathlib import Path
 import numpy as np
 
 from .detectors import CountDistribution, DetectorConfig
+from .numerics import leading_minors_stack, min_eigenvalues
 from .witnesses import (
     HALF,
     INDETERMINATE,
     INTEGER,
+    KLYSHKO_OUTCOMES,
     NONCLASSICAL,
     NO_VIOLATION,
     IndexSet,
     WitnessReport,
+    check_admissible,
     count_matrix_from_counts,
+    from_counts_entries,
     klyshko_ratio,
+    klyshko_value,
     moment_matrix_from_counts,
 )
 
@@ -164,20 +175,40 @@ def _klyshko_scalars(counts: CountDistribution) -> dict:
     return scalars
 
 
+def _klyshko_redraws(counts: CountDistribution, probs: np.ndarray, keys) -> dict:
+    """Each Klyshko scalar of every redraw row whose denominator is nonzero."""
+    index = {outcome: k for k, outcome in enumerate(counts.outcomes)}
+    absent = [0.0] * len(probs)
+    series = {}
+    for key in keys:
+        columns = [
+            probs[:, index[k]].tolist() if k in index else absent
+            for k in KLYSHKO_OUTCOMES[key.removeprefix("klyshko_")]
+        ]
+        ratios = (klyshko_value(*row) for row in zip(*columns))
+        series[key] = [ratio for ratio in ratios if not math.isnan(ratio)]
+    return series
+
+
 def empirical_witness(run: SampleRun, cfg: DetectorConfig, iset: IndexSet,
                       resamples: int = DEFAULT_RESAMPLES,
                       kind: str = "counts") -> EmpiricalWitness:
     """Witness matrix from empirical frequencies with bootstrap errors.
 
-    Bootstrap: ``resamples`` multinomial redraws of the histogram, each
-    re-evaluated through the same estimator.  Scalars whose denominators
-    vanish in a redraw (empty outcome classes) are skipped for that redraw
-    and flagged indeterminate if they never resolve.
+    ``kind`` is "counts" or "moments".  Bootstrap: ``resamples``
+    multinomial redraws of the histogram, drawn by one
+    ``Generator.multinomial(..., size=resamples)`` call (the same stream as
+    that many single redraws) and evaluated together as a stack of
+    matrices, with the same arithmetic as the point estimate.  Klyshko
+    ratios whose denominators vanish in a redraw (empty outcome classes)
+    are skipped for that redraw; a scalar resolved fewer than twice gets a
+    NaN standard error.
     """
     if run.source.config != cfg:
         raise ValueError("run outcome space does not match the detector config")
     if resamples < 2:
         raise ValueError("need at least 2 bootstrap resamples")
+    check_admissible(iset, cfg, kind)
     builder = count_matrix_from_counts if kind == "counts" else moment_matrix_from_counts
     empirical = run.empirical()
     report = builder(empirical, iset)
@@ -187,22 +218,14 @@ def empirical_witness(run: SampleRun, cfg: DetectorConfig, iset: IndexSet,
 
     rng = np.random.Generator(np.random.PCG64(derive_seed(run.seed)))
     weights = np.array(run.counts, dtype=float) / run.shots
-    boot: dict[str, list] = {key: [] for key in values}
-    for _ in range(resamples):
-        redraw = rng.multinomial(run.shots, weights)
-        redraw_dist = CountDistribution(
-            empirical.kind,
-            empirical.outcomes,
-            tuple(float(c) / run.shots for c in redraw),
-            empirical.config,
-        )
-        boot_report = builder(redraw_dist, iset)
-        for key, value in _matrix_scalars(boot_report).items():
-            boot[key].append(value)
-        if empirical.kind == "click" and empirical.config.bins >= 3:
-            for key, value in _klyshko_scalars(redraw_dist).items():
-                if key in boot:
-                    boot[key].append(value)
+    probs = rng.multinomial(run.shots, weights, size=resamples) / run.shots
+    entries = from_counts_entries(empirical, probs, iset, kind)
+    boot = {"min_eig": min_eigenvalues(entries)}
+    for order, minors in enumerate(leading_minors_stack(entries).T, start=1):
+        boot[f"minor_{order}"] = minors
+    boot.update(_klyshko_redraws(
+        empirical, probs, [key for key in values if key.startswith("klyshko_")]
+    ))
 
     stderrs = {}
     for key, series in boot.items():

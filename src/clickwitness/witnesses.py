@@ -24,8 +24,10 @@ from .detectors import (
     DetectorConfig,
     click_moment,
     click_moment_from_counts,
-    factorial_moment_from_counts,
-    pnr_moment_from_counts,
+    # Unused here since the from-counts matrices go through outcome weights;
+    # bench/tracing.py still looks both names up in this module.
+    factorial_moment_from_counts,  # noqa: F401
+    pnr_moment_from_counts,  # noqa: F401
     povm_product_value,
 )
 from .numerics import (
@@ -33,6 +35,7 @@ from .numerics import (
     HalfInt,
     SymMatrix,
     binom,
+    falling_factorial,
     leading_minors,
     min_eigenvalue,
     min_eigenvalues,
@@ -344,17 +347,40 @@ def _metadata(state, cfg, iset, **extra) -> dict:
     return meta
 
 
+def _pair_quantities(iset: IndexSet, quantity) -> dict:
+    """``quantity(a, b)`` of the labels of every entry (i, j), i <= j."""
+    labels = iset.elements
+    return {
+        (i, j): quantity(labels[i], labels[j])
+        for i in range(len(labels)) for j in range(i, len(labels))
+    }
+
+
+def _fill(dim: int, quantities: dict, values: dict) -> np.ndarray:
+    """(..., dim, dim) matrices with entry (i, j) = ``values[quantities[i, j]]``.
+
+    ``values`` holds arrays.  Both triangles receive the same value, so
+    every matrix is exactly symmetric; the leading shape broadcasts those of
+    the values.
+    """
+    points = np.broadcast_shapes(*(values[q].shape for q in quantities.values()))
+    entries = np.empty(points + (dim, dim))
+    for (i, j), quantity in quantities.items():
+        entries[..., i, j] = entries[..., j, i] = values[quantity]
+    return entries
+
+
 def _state_report(state: StateSpec, cfg: DetectorConfig, iset: IndexSet,
                   kind: str) -> WitnessReport:
     check_admissible(iset, cfg, kind)
-    labels = iset.elements
-
-    def entry(i, j):
-        quantity = entry_quantity(cfg, kind, labels[i], labels[j])
-        return _expectation(state, cfg, quantity)
-
-    matrix = SymMatrix.build(len(labels), entry)
-    return _report(matrix, labels, f"{kind}:{cfg.model}", _metadata(state, cfg, iset))
+    quantities = _pair_quantities(iset, lambda a, b: entry_quantity(cfg, kind, a, b))
+    values = {
+        quantity: np.asarray(_expectation(state, cfg, quantity))
+        for quantity in dict.fromkeys(quantities.values())
+    }
+    matrix = SymMatrix(_fill(len(iset.elements), quantities, values))
+    return _report(matrix, iset.elements, f"{kind}:{cfg.model}",
+                   _metadata(state, cfg, iset))
 
 
 def count_matrix(state: StateSpec, cfg: DetectorConfig,
@@ -385,72 +411,97 @@ def min_eig_sweep(states, cfg: DetectorConfig, kind: str, iset: IndexSet,
     matrices form one (G, d, d) stack for a single eigensolver call.
     """
     check_admissible(iset, cfg, kind)
-    labels = iset.elements
-    dim = len(labels)
-    quantities = {
-        (i, j): entry_quantity(cfg, kind, labels[i], labels[j])
-        for i in range(dim) for j in range(i, dim)
-    }
+    quantities = _pair_quantities(iset, lambda a, b: entry_quantity(cfg, kind, a, b))
     for quantity in quantities.values():
         if quantity not in values:
             values[quantity] = np.asarray(_expectation(states, cfg, quantity))
-    points = np.broadcast_shapes(*(values[q].shape for q in quantities.values()))
-    entries = np.empty(points + (dim, dim))
-    for (i, j), quantity in quantities.items():
-        entries[..., i, j] = entries[..., j, i] = values[quantity]
+    entries = _fill(len(iset.elements), quantities, values)
     min_eig = min_eigenvalues(entries)
     flags = nonclassical(min_eig, np.abs(entries).max(axis=(-2, -1)))
     return min_eig, np.where(flags, NONCLASSICAL, NO_VIOLATION)
 
 
+def _outcome_weights(counts: CountDistribution, kind: str, s, index: dict):
+    """Outcome weights and divisor of the from-counts entry with pair sum ``s``.
+
+    The entry is sum_k w_k p_k / divisor over the outcomes of ``counts``,
+    with the Python int/float arithmetic of the per-quantity formulas:
+    p_s / C(N, s), p_s / multinom(N, s) and s! p_s for counts, and the
+    identities of the ``*_moment_from_counts`` functions for moments.  An
+    outcome that is absent has weight 0, like the 0.0 of ``counts.prob``.
+    """
+    bins = counts.config.bins
+    if kind == "counts":
+        if counts.kind == "photo":
+            weight, divisor = float(math.factorial(s)), 1.0
+        elif counts.kind == "click":
+            weight, divisor = 1.0, float(binom(bins, s))
+        else:
+            weight, divisor = 1.0, float(multinom(bins, s))
+        weights = [0.0] * len(counts.outcomes)
+        if s in index:
+            weights[index[s]] = weight
+        return weights, divisor
+    if counts.kind == "photo":
+        return [float(falling_factorial(n, s)) for n in counts.outcomes], 1.0
+    if counts.kind == "click":
+        norm = binom(bins, s)
+        return [binom(k, s) / norm if k >= s else 0.0 for k in counts.outcomes], 1.0
+    weights = [
+        float(math.prod(falling_factorial(n, e) for n, e in zip(outcome, s)))
+        for outcome in counts.outcomes
+    ]
+    return weights, float(falling_factorial(bins, sum(s)))
+
+
+def from_counts_entries(counts: CountDistribution, probs: np.ndarray,
+                        iset: IndexSet, kind: str) -> np.ndarray:
+    """``kind`` witness matrices of measured statistics, one per row of ``probs``.
+
+    ``probs`` (..., outcomes) holds probabilities over the outcome space of
+    ``counts``, for example the redraws of a bootstrap.  Each distinct pair
+    sum is evaluated once for all rows, as a sum over outcomes in outcome
+    order followed by one division, which gives every row the same bits as
+    the per-entry sums over a single distribution.  Returns (..., d, d).
+    """
+    cfg = counts.config
+    check_admissible(iset, cfg, kind)
+    if counts.kind not in ("photo", "click", "pnr"):
+        raise ValueError(f"unsupported distribution kind {counts.kind!r}")
+    pair_sum = _pair_sum_multi if counts.kind == "pnr" else _pair_sum_scalar
+    quantities = _pair_quantities(iset, pair_sum)
+    sums = list(dict.fromkeys(quantities.values()))
+    index = {outcome: k for k, outcome in enumerate(counts.outcomes)}
+    weights, divisors = zip(*(_outcome_weights(counts, kind, s, index) for s in sums))
+    weights = np.array(weights)
+    acc = np.zeros(probs.shape[:-1] + (len(sums),))
+    # One outcome at a time: a matmul or a sum over an axis would reorder
+    # the additions and change the last bits.
+    for k in range(len(counts.outcomes)):
+        acc += probs[..., k, None] * weights[:, k]
+    values = acc / np.array(divisors)
+    return _fill(len(iset.elements), quantities,
+                 dict(zip(sums, np.moveaxis(values, -1, 0))))
+
+
+def _counts_report(counts: CountDistribution, iset: IndexSet,
+                   kind: str) -> WitnessReport:
+    entries = from_counts_entries(counts, np.array(counts.probs), iset, kind)
+    meta = {"config": counts.config, "set": iset.label, "empirical": True}
+    return _report(SymMatrix(entries), iset.elements,
+                   f"{kind}:{counts.config.model}", meta)
+
+
 def count_matrix_from_counts(counts: CountDistribution,
                              iset: IndexSet) -> WitnessReport:
     """Counting matrix assembled from measured (or sampled) statistics."""
-    cfg = counts.config
-    check_admissible(iset, cfg, "counts")
-    labels = iset.elements
-    if counts.kind == "photo":
-        def entry(i, j):
-            s = _pair_sum_scalar(labels[i], labels[j])
-            return math.factorial(s) * counts.prob(s)
-    elif counts.kind == "click":
-        def entry(i, j):
-            s = _pair_sum_scalar(labels[i], labels[j])
-            return counts.prob(s) / binom(cfg.bins, s)
-    elif counts.kind == "pnr":
-        def entry(i, j):
-            s = _pair_sum_multi(labels[i], labels[j])
-            return counts.prob(s) / multinom(cfg.bins, s)
-    else:
-        raise ValueError(f"unsupported distribution kind {counts.kind!r}")
-    matrix = SymMatrix.build(len(labels), entry)
-    meta = {"config": cfg, "set": iset.label, "empirical": True}
-    return _report(matrix, labels, f"counts:{cfg.model}", meta)
+    return _counts_report(counts, iset, "counts")
 
 
 def moment_matrix_from_counts(counts: CountDistribution,
                               iset: IndexSet) -> WitnessReport:
     """Moment matrix assembled from measured (or sampled) statistics."""
-    cfg = counts.config
-    check_admissible(iset, cfg, "moments")
-    labels = iset.elements
-    if counts.kind == "photo":
-        def entry(i, j):
-            s = _pair_sum_scalar(labels[i], labels[j])
-            return factorial_moment_from_counts(counts, s)
-    elif counts.kind == "click":
-        def entry(i, j):
-            s = _pair_sum_scalar(labels[i], labels[j])
-            return click_moment_from_counts(counts, s)
-    elif counts.kind == "pnr":
-        def entry(i, j):
-            s = _pair_sum_multi(labels[i], labels[j])
-            return pnr_moment_from_counts(counts, s)
-    else:
-        raise ValueError(f"unsupported distribution kind {counts.kind!r}")
-    matrix = SymMatrix.build(len(labels), entry)
-    meta = {"config": cfg, "set": iset.label, "empirical": True}
-    return _report(matrix, labels, f"moments:{cfg.model}", meta)
+    return _counts_report(counts, iset, "moments")
 
 
 # --------------------------------------------------------------------------
@@ -462,6 +513,18 @@ class KlyshkoResult:
     ratio: float
     bound: float
     verdict: str
+
+
+# Outcomes (low, mid, high) of each Klyshko ratio c_low c_high / c_mid^2.
+KLYSHKO_OUTCOMES = {INTEGER: (0, 1, 2), HALF: (1, 2, 3)}
+
+
+def klyshko_value(low: float, mid: float, high: float) -> float:
+    """The ratio low * high / mid^2, or NaN where mid^2 vanishes."""
+    denom = mid ** 2
+    if denom == 0.0:
+        return math.nan
+    return low * high / denom
 
 
 def klyshko_ratio(counts: CountDistribution, variant: str) -> KlyshkoResult:
@@ -478,19 +541,15 @@ def klyshko_ratio(counts: CountDistribution, variant: str) -> KlyshkoResult:
         if bins < 2:
             raise ValueError("integer variant needs N >= 2")
         bound = 0.5 * (1.0 - 1.0 / bins)
-        denom = counts.prob(1) ** 2
-        numer = counts.prob(0) * counts.prob(2)
     elif variant == HALF:
         if bins < 3:
             raise ValueError("half variant needs N >= 3")
         bound = (2.0 / 3.0) * (1.0 - 1.0 / (bins - 1))
-        denom = counts.prob(2) ** 2
-        numer = counts.prob(1) * counts.prob(3)
     else:
         raise ValueError(f"variant must be {INTEGER!r} or {HALF!r}")
-    if denom == 0.0:
+    ratio = klyshko_value(*(counts.prob(k) for k in KLYSHKO_OUTCOMES[variant]))
+    if math.isnan(ratio):
         return KlyshkoResult(math.nan, bound, INDETERMINATE)
-    ratio = numer / denom
     verdict = NONCLASSICAL if bound - ratio > 1e-10 else NO_VIOLATION
     return KlyshkoResult(ratio, bound, verdict)
 

@@ -6,6 +6,9 @@ normally ordered expectations are evaluated through an explicit monomial
 series instead of the package's per-term closed form.  The single-point
 evaluators at the end take one component pair and one grid point at a time
 with Python complex arithmetic; the package evaluates whole grids as arrays.
+The from-counts builders and the bootstrap at the end assemble one entry and
+one redraw at a time, with per-matrix eigenvalue and determinant calls; the
+package evaluates every redraw of a bootstrap in one array pass.
 """
 
 import cmath
@@ -213,3 +216,129 @@ def expanded_povm_product(levels, exponents, rate, offset):
     for expr, e in zip(lower + [last], exponents):
         out = out * expr ** e
     return out
+
+
+# --------------------------------------------------------------------------
+# from-counts matrices and the bootstrap, one entry and one redraw at a time
+
+
+def _loop_report(entry, labels, source):
+    """Per-entry matrix build with per-matrix eigenvalue and determinants."""
+    from clickwitness.numerics import SymMatrix
+    from clickwitness.witnesses import WitnessReport
+
+    matrix = SymMatrix.build(len(labels), entry)
+    entries = matrix.entries
+    return WitnessReport(
+        matrix=matrix,
+        labels=tuple(labels),
+        min_eig=float(np.linalg.eigvalsh(entries)[0]),
+        minors=tuple(float(np.linalg.det(entries[:k, :k]))
+                     for k in range(1, len(labels) + 1)),
+        source=source,
+    )
+
+
+def _pair_sum(a, b):
+    if isinstance(a, tuple):
+        return tuple((x + y).to_int() for x, y in zip(a, b))
+    return (a + b).to_int()
+
+
+def loop_count_matrix_from_counts(counts, iset):
+    """Counting matrix with one ``counts.prob`` lookup per entry."""
+    from clickwitness.numerics import binom, multinom
+
+    cfg = counts.config
+    labels = iset.elements
+
+    def entry(i, j):
+        s = _pair_sum(labels[i], labels[j])
+        if counts.kind == "photo":
+            return math.factorial(s) * counts.prob(s)
+        if counts.kind == "click":
+            return counts.prob(s) / binom(cfg.bins, s)
+        return counts.prob(s) / multinom(cfg.bins, s)
+
+    return _loop_report(entry, labels, f"counts:{cfg.model}")
+
+
+def loop_moment_matrix_from_counts(counts, iset):
+    """Moment matrix with one per-outcome moment sum per entry."""
+    from clickwitness.detectors import (
+        click_moment_from_counts,
+        factorial_moment_from_counts,
+        pnr_moment_from_counts,
+    )
+
+    moment = {
+        "photo": factorial_moment_from_counts,
+        "click": click_moment_from_counts,
+        "pnr": pnr_moment_from_counts,
+    }[counts.kind]
+    labels = iset.elements
+
+    def entry(i, j):
+        return moment(counts, _pair_sum(labels[i], labels[j]))
+
+    return _loop_report(entry, labels, f"moments:{counts.config.model}")
+
+
+def _loop_klyshko(counts):
+    """Klyshko ratios of a click distribution, where their denominators are not 0."""
+    ratios = {}
+    for variant, (low, mid, high) in (("integer", (0, 1, 2)), ("half", (1, 2, 3))):
+        denom = counts.prob(mid) ** 2
+        if denom != 0.0:
+            ratios[f"klyshko_{variant}"] = counts.prob(low) * counts.prob(high) / denom
+    return ratios
+
+
+def loop_empirical_witness(run, iset, resamples, kind):
+    """(values, stderrs, verdict, report, resolved) of the redraw-by-redraw bootstrap.
+
+    ``resolved`` counts, per scalar, the redraws in which it was defined.
+    """
+    from clickwitness.detectors import CountDistribution
+    from clickwitness.sampler import derive_seed
+
+    builder = loop_count_matrix_from_counts if kind == "counts" else loop_moment_matrix_from_counts
+    empirical = run.empirical()
+    klyshko = empirical.kind == "click" and empirical.config.bins >= 3
+
+    def scalars(dist):
+        report = builder(dist, iset)
+        out = {"min_eig": report.min_eig}
+        out.update({f"minor_{k}": m for k, m in enumerate(report.minors, start=1)})
+        if klyshko:
+            out.update(_loop_klyshko(dist))
+        return report, out
+
+    report, values = scalars(empirical)
+    rng = np.random.Generator(np.random.PCG64(derive_seed(run.seed)))
+    weights = np.array(run.counts, dtype=float) / run.shots
+    boot = {key: [] for key in values}
+    for _ in range(resamples):
+        redraw = rng.multinomial(run.shots, weights)
+        redraw_dist = CountDistribution(
+            empirical.kind, empirical.outcomes,
+            tuple(float(c) / run.shots for c in redraw), empirical.config,
+        )
+        for key, value in scalars(redraw_dist)[1].items():
+            if key in boot:
+                boot[key].append(value)
+    stderrs = {
+        key: float(np.std(np.array(series), ddof=1)) if len(series) >= 2 else math.nan
+        for key, series in boot.items()
+    }
+    min_eig, err = values["min_eig"], stderrs["min_eig"]
+    max_abs = float(np.max(np.abs(report.matrix.entries)))
+    if err == 0.0:
+        verdict = "nonclassical" if min_eig < -1e-10 * max_abs else "no_violation"
+    elif abs(min_eig) < 3.0 * err:
+        verdict = "indeterminate"
+    elif min_eig < 0.0:
+        verdict = "nonclassical"
+    else:
+        verdict = "no_violation"
+    return values, stderrs, verdict, report, {key: len(s) for key, s in boot.items()}

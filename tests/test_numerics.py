@@ -9,6 +9,7 @@ from clickwitness.numerics import (
     binom,
     falling_factorial,
     leading_minors,
+    leading_minors_stack,
     min_eigenvalue,
     multinom,
 )
@@ -173,6 +174,27 @@ class TestLeadingMinors:
         for k, minor in enumerate(leading_minors(m), start=1):
             block = m.entries[:k, :k].tolist()
             assert minor == pytest.approx(cofactor_det(block), rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 4, 16])
+    def test_stack_equals_per_matrix_det(self, dim):
+        rng = np.random.default_rng(dim)
+        raw = rng.normal(size=(5, 3, dim, dim))
+        stack = raw + np.swapaxes(raw, -1, -2)
+        minors = leading_minors_stack(stack)
+        assert minors.shape == (5, 3, dim)
+        for index in np.ndindex(5, 3):
+            per_matrix = [float(np.linalg.det(stack[index][:k, :k]))
+                          for k in range(1, dim + 1)]
+            assert minors[index].tolist() == per_matrix
+            assert leading_minors(SymMatrix(stack[index])) == per_matrix
+
+    def test_stack_guards(self):
+        with pytest.raises(ValueError, match="dim <= 16"):
+            leading_minors_stack(np.broadcast_to(np.eye(17), (2, 17, 17)))
+        bad = np.broadcast_to(np.eye(2), (3, 2, 2)).copy()
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            leading_minors_stack(bad)
 
 
 class TestSpectralProperties:

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clickwitness.detectors import CountDistribution, DetectorConfig, click_distribution, pnr_distribution
+import oracles
+from clickwitness.detectors import (
+    CountDistribution,
+    DetectorConfig,
+    click_distribution,
+    photo_distribution,
+    pnr_distribution,
+)
 from clickwitness.sampler import (
     _CHUNK as CHUNK,
     empirical_witness,
@@ -223,6 +230,71 @@ class TestEmpiricalWitness:
         result = empirical_witness(run, ONOFF5, iset, resamples=80)
         assert "klyshko_integer" in result.values
         assert result.stderrs["klyshko_integer"] > 0.0
+
+
+BOOTSTRAP_CASES = {
+    "onoff5": (ONOFF5, click_distribution),
+    "onoff31": (DetectorConfig.onoff(31, 0.5), click_distribution),
+    "pnr8_2": (DetectorConfig.pnr(8, 2, 0.5), pnr_distribution),
+    "pnr5_3": (DetectorConfig.pnr(5, 3, 0.5), pnr_distribution),
+    "photo": (DetectorConfig.photoelectric(0.5), photo_distribution),
+}
+
+
+def assert_same_scalars(got, want):
+    """Equal bit for bit; NaN only where the reference has NaN."""
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if math.isnan(value):
+            assert math.isnan(got[key]), key
+        else:
+            assert got[key] == value, key
+
+
+def assert_matches_loop(run, cfg, iset, resamples, kind):
+    result = empirical_witness(run, cfg, iset, resamples=resamples, kind=kind)
+    values, stderrs, verdict, report, resolved = oracles.loop_empirical_witness(
+        run, iset, resamples, kind
+    )
+    assert np.array_equal(result.report.matrix.entries, report.matrix.entries)
+    assert result.report.min_eig == report.min_eig
+    assert result.report.minors == report.minors
+    assert_same_scalars(result.values, values)
+    assert_same_scalars(result.stderrs, stderrs)
+    assert result.verdict == verdict
+    return resolved
+
+
+class TestBatchedBootstrap:
+    """The one-pass bootstrap against the redraw-by-redraw loop, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(BOOTSTRAP_CASES))
+    def test_matches_loop(self, case):
+        cfg, distribution = BOOTSTRAP_CASES[case]
+        run = sample(distribution(make_cat(1.0, "odd"), cfg), 1_000_000, seed=3)
+        for iset in enumerate_index_sets(cfg):
+            if not iset.elements:
+                continue
+            for kind in ("counts", "moments"):
+                assert_matches_loop(run, cfg, iset, 40, kind)
+
+    @pytest.mark.parametrize("resamples, half_resolved", [(2, 1), (50, 35)])
+    def test_ten_shots_with_vanishing_klyshko_denominators(self, resamples,
+                                                           half_resolved):
+        # Histogram (6, 3, 1, 0, 0, 0): outcome 2 drops out of some redraws,
+        # so the half Klyshko ratio is skipped there; with 2 redraws it
+        # resolves once and its error is NaN.
+        run = sample(click_distribution(make_cat(1.0, "odd"), ONOFF5), 10, seed=5)
+        assert run.counts == (6, 3, 1, 0, 0, 0)
+        for iset in enumerate_index_sets(ONOFF5):
+            for kind in ("counts", "moments"):
+                resolved = assert_matches_loop(run, ONOFF5, iset, resamples, kind)
+                assert resolved["klyshko_half"] == half_resolved
+
+    def test_unknown_kind_rejected(self):
+        run = sample(click_distribution(make_cat(1.0, "odd"), ONOFF5), 1000, seed=1)
+        with pytest.raises(ValueError, match="kind"):
+            empirical_witness(run, ONOFF5, enumerate_index_sets(ONOFF5)[0], kind="count")
 
 
 class TestHistogramRoundTrip:
