@@ -98,8 +98,8 @@ class CountDistribution:
     """Outcome -> probability map over a fixed, lexicographically ordered space.
 
     Probabilities are clipped at zero if they exceed -1e-14 from roundoff;
-    anything more negative raises.  A total probability off from one by more
-    than 1e-10 triggers a truncation warning.
+    anything more negative, NaN or infinite raises.  A total probability off
+    from one by more than 1e-10 triggers a truncation warning.
     """
 
     kind: str
@@ -112,8 +112,9 @@ class CountDistribution:
             raise ValueError("outcomes and probs must align")
         cleaned = []
         for outcome, p in zip(self.outcomes, self.probs):
-            if p < -_NEG_TOL:
-                raise ValueError(f"probability {p} of outcome {outcome} is negative")
+            if not -_NEG_TOL <= p < math.inf:
+                raise ValueError(
+                    f"probability {p} of outcome {outcome} is negative or not finite")
             cleaned.append(max(float(p), 0.0))
         object.__setattr__(self, "probs", tuple(cleaned))
         total = sum(cleaned)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import HalfInt, SymMatrix
+from .numerics import MAX_DIM, HalfInt, SymMatrix
 from .states import NOExpr, StateSpec, expect
 from .witnesses import (
     INDETERMINATE,
@@ -25,7 +25,6 @@ from .witnesses import (
 )
 
 MAX_MODES = 8
-MAX_SET_SIZE = 64
 
 DIVERGENT = "divergent"
 
@@ -131,12 +130,15 @@ def mode_class_patterns(modes: int):
 def _validate_set(elements: tuple[MultiIndex, ...]) -> tuple[MultiIndex, ...]:
     if not elements:
         raise ValueError("index set is empty")
-    if len(elements) > MAX_SET_SIZE:
-        raise ValueError(f"index sets capped at {MAX_SET_SIZE} elements")
     modes = elements[0].modes
     if any(e.modes != modes for e in elements):
         raise ValueError("elements must share the mode count")
     elements = tuple(sorted(set(elements)))
+    if len(elements) > MAX_DIM:
+        raise ValueError(
+            f"index set has {len(elements)} elements; "
+            f"witness matrices are capped at dimension {MAX_DIM}"
+        )
     first = elements[0]
     for element in elements[1:]:
         for mode, (a, b) in enumerate(zip(first.parts, element.parts)):

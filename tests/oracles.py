@@ -8,7 +8,11 @@ evaluators at the end take one component pair and one grid point at a time
 with Python complex arithmetic; the package evaluates whole grids as arrays.
 The from-counts builders and the bootstrap at the end assemble one entry and
 one redraw at a time, with per-matrix eigenvalue and determinant calls; the
-package evaluates every redraw of a bootstrap in one array pass.
+package evaluates every redraw of a bootstrap in one array pass.  The
+sampler oracle draws every shot as a float uniform and binary-searches it in
+the float CDF; the package compares integer draws with integer thresholds
+through a bucket histogram.  It reuses the package's SplitMix64, which the
+sampler tests check against a pure-Python reference.
 """
 
 import cmath
@@ -342,3 +346,23 @@ def loop_empirical_witness(run, iset, resamples, kind):
     else:
         verdict = "no_violation"
     return values, stderrs, verdict, report, {key: len(s) for key, s in boot.items()}
+
+
+# --------------------------------------------------------------------------
+# the sampler's draw, one float uniform and one CDF search per shot
+
+
+def uniform01(seed, count, start=0):
+    """``count`` doubles in [0, 1) from SplitMix64 outputs ``start`` on."""
+    from clickwitness.sampler import splitmix64
+
+    bits = splitmix64(seed, count, start) >> np.uint64(11)
+    return bits.astype(np.float64) * 2.0 ** -53
+
+
+def single_pass_counts(dist, shots, seed):
+    """Histogram from one full-length draw, the unchunked definition."""
+    cdf = np.cumsum(np.array(dist.probs))
+    idx = np.searchsorted(cdf, uniform01(seed, shots), side="right")
+    idx = np.minimum(idx, len(dist.probs) - 1)
+    return tuple(int(c) for c in np.bincount(idx, minlength=len(dist.probs)))

@@ -59,6 +59,11 @@ class TestCountDistribution:
             CountDistribution("click", (0, 1), (1.1, -0.1),
                               DetectorConfig.onoff(1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            CountDistribution("click", (0, 1), (bad, 1.0), DetectorConfig.onoff(1))
+
     def test_warns_on_truncation(self):
         with pytest.warns(UserWarning):
             CountDistribution("photo", (0, 1), (0.5, 0.4),

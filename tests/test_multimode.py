@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from clickwitness import multimode
 from clickwitness.detectors import DetectorConfig, factorial_moment, photo_distribution
 from clickwitness.multimode import (
     DIVERGENT,
@@ -15,6 +16,7 @@ from clickwitness.multimode import (
     multimode_matrices,
     ratio_criterion,
 )
+from clickwitness.numerics import MAX_DIM
 from clickwitness.states import coherent_state, make_cat
 from clickwitness.witnesses import INDETERMINATE, NONCLASSICAL, NO_VIOLATION
 
@@ -339,3 +341,20 @@ class TestMultimodeMatrices:
         state = make_cat(1.0, "even")
         with pytest.raises(ValueError):
             multimode_matrices(state, ((0, 0), (1, 0)))
+
+    @pytest.mark.parametrize("kind", ["moments", "counts"])
+    def test_oversized_set_rejected_before_evaluation(self, kind, monkeypatch):
+        calls = []
+        monkeypatch.setattr(multimode, "joint_moment", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(multimode, "joint_counts", lambda *a, **k: calls.append(a))
+        state = coherent_state((0.9, 0.6), modes=2)
+        elements = [(k, 0) for k in range(MAX_DIM + 1)]
+        with pytest.raises(ValueError, match=f"{MAX_DIM + 1} elements.*{MAX_DIM}"):
+            multimode_matrices(state, elements, kind=kind)
+        assert calls == []
+
+    def test_set_at_dimension_cap_evaluates(self):
+        state = coherent_state((0.3, 0.2), modes=2)
+        elements = [(k, 0) for k in range(MAX_DIM)]
+        report = multimode_matrices(state, elements + elements[:3], kind="moments")
+        assert report.matrix.dim == MAX_DIM

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import single_pass_counts, uniform01
 from clickwitness.detectors import (
     CountDistribution,
     DetectorConfig,
@@ -24,7 +25,6 @@ from clickwitness.sampler import (
     read_histogram,
     sample,
     splitmix64,
-    uniform01,
     write_histogram,
 )
 from clickwitness.states import coherent_state, make_cat
@@ -67,14 +67,6 @@ class TestGenerator:
         u = uniform01(7, 10_000)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
         assert abs(float(np.mean(u)) - 0.5) < 0.02
-
-
-def single_pass_counts(dist, shots, seed):
-    """Histogram from one full-length draw, the unchunked definition."""
-    cdf = np.cumsum(np.array(dist.probs))
-    idx = np.searchsorted(cdf, uniform01(seed, shots), side="right")
-    idx = np.minimum(idx, len(dist.probs) - 1)
-    return tuple(int(c) for c in np.bincount(idx, minlength=len(dist.probs)))
 
 
 class TestSample:
@@ -151,12 +143,69 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(bad, 10, seed=1)
 
+    def test_nan_total_rejected(self):
+        # The constructor rejects NaN; a NaN that gets in past it must still
+        # fail the normalisation check instead of drawing a histogram.
+        dist = CountDistribution("click", (0, 1), (0.0, 1.0), DetectorConfig.onoff(1))
+        object.__setattr__(dist, "probs", (math.nan, 1.0))
+        with pytest.raises(ValueError, match="nan"):
+            sample(dist, 1000, seed=3)
+
     def test_empirical_distribution(self):
         dist = click_distribution(coherent_state(1.0), ONOFF5)
         run = sample(dist, 5000, seed=9)
         emp = run.empirical()
         assert emp.total() == pytest.approx(1.0, abs=1e-12)
         assert emp.config == ONOFF5
+
+
+@st.composite
+def draw_cases(draw):
+    """(probs, shots, seed) covering the integer draw's corner cases."""
+    size = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    probs = rng.random(size) ** draw(st.sampled_from([1.0, 4.0, 30.0]))
+    probs[rng.random(size) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    if draw(st.booleans()):
+        # Many tiny outcomes crowded into one bucket.
+        lo = draw(st.integers(0, size - 1))
+        hi = draw(st.integers(lo, min(size, lo + 4000)))
+        probs[lo:hi] = 1e-12 * rng.random(hi - lo)
+    if not probs.any():
+        probs[-1] = 1.0
+    probs /= probs.sum()
+    probs *= 1.0 + draw(st.sampled_from([0.0, -5e-11, 5e-11]))
+    shots = draw(st.one_of(
+        st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5]),
+        st.integers(1, 3 * CHUNK),
+    ))
+    return probs, shots, draw(st.integers(0, 2 ** 64 - 1))
+
+
+class TestIntegerDraw:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(draw_cases())
+    def test_matches_float_search(self, case):
+        probs, shots, seed = case
+        dist = CountDistribution("click", tuple(range(len(probs))), tuple(probs))
+        assert sample(dist, shots, seed).counts == single_pass_counts(dist, shots, seed)
+
+    def test_draws_on_and_beside_a_cdf_value(self):
+        # A draw at or above cdf_0 belongs to outcome 1, one below it to outcome 0.
+        seed = next(s for s in range(100) if splitmix64(s, 1)[0] >> np.uint64(11) < 2 ** 51)
+        m = int(splitmix64(seed, 1)[0] >> np.uint64(11))
+        for offset, want in ((-0.5, (0, 1)), (0.0, (0, 1)), (0.5, (1, 0)), (1.0, (1, 0))):
+            p0 = (m + offset) * 2.0 ** -53
+            dist = CountDistribution("click", (0, 1), (p0, 1.0 - p0))
+            assert sample(dist, 1, seed).counts == want == single_pass_counts(dist, 1, seed)
+
+    def test_large_outcome_space(self):
+        # 2^18 buckets, the widest; a few outcomes hold most of the mass.
+        probs = np.full(100_000, 1e-7)
+        probs[[10, 50_000, 99_999]] = 1.0
+        probs /= probs.sum()
+        dist = CountDistribution("click", tuple(range(len(probs))), tuple(probs))
+        assert sample(dist, CHUNK + 9, 4).counts == single_pass_counts(dist, CHUNK + 9, 4)
 
 
 class TestEmpiricalWitness:
