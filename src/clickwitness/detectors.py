@@ -9,12 +9,16 @@ Dark counts nu enter per bin through the affine response.  All outcome
 probabilities and moments are expectations of :class:`~.states.NOExpr`
 expressions.  Coherent superpositions are evaluated through the product
 form of :func:`povm_product_value`, elementwise over a whole
-:class:`~.states.CoherentStack` of grid points at once.
+:class:`~.states.CoherentStack` of grid points at once.  One call evaluates
+every distinct POVM product that a distribution or a witness matrix needs:
+the factors the products share (y, the tail series of pi_K, the powers
+y^j/j!) are computed once per call, not once per exponent tuple.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -225,34 +229,93 @@ def _tail_series(y: np.ndarray, levels: int) -> np.ndarray:
     return total
 
 
-def _pair_product(y: np.ndarray, overlap_exp: np.ndarray,
-                  exponents: tuple[int, ...], levels: int) -> np.ndarray:
+def _shared_factors(y: np.ndarray, rows: list, levels: int):
+    """The factors of :func:`_pair_product` that do not depend on the exponents.
+
+    Returns ``powers`` with y^j/j! for each 0 < j < K that some row raises,
+    the mask ``small`` of |y| < 1, and ``last_factor``, which is pi_K(y)
+    from 1 - exp(-y) poly(y) where |y| >= 1 and the tail series, whose
+    exp(-y) is folded later, where |y| < 1.  ``small`` and ``last_factor``
+    are None when no row raises pi_K.
+    """
+    powers = {
+        j: y ** j / math.factorial(j)
+        for j in range(1, levels) if any(row[j] for row in rows)
+    }
+    if not any(row[levels] for row in rows):
+        return powers, None, None
+    small = np.abs(y) < 1.0
+    # Each branch gets 0 where the other one applies, so the unused
+    # branch can neither overflow nor warn.
+    tail = _tail_series(np.where(small, y, 0.0), levels)
+    big = np.where(small, 0.0, y)
+    head = 1.0 - np.exp(-big) * _low_poly(big, levels)
+    return powers, small, np.where(small, tail, head)
+
+
+def _pair_product(y: np.ndarray, overlap_exp: np.ndarray, exponents: tuple[int, ...],
+                  levels: int, powers: dict, small, last_factor) -> np.ndarray:
     """prod_j pi_j(y)^{e_j} times exp(overlap_exp), evaluated stably.
 
     pi_j(y) = y^j/j! exp(-y) for j < K and pi_K(y) = 1 - exp(-y) poly(y);
     every exp(-y) factor is folded into the overlap exponent so that large
     opposing exponents cancel analytically.  Where |y| < 1, pi_K comes from
-    the tail series, and its exp(-y) is folded too.
+    the tail series, and its exp(-y) is folded too.  ``powers``, ``small``
+    and ``last_factor`` come from :func:`_shared_factors`.
     """
     folded = sum(exponents[:levels])
     poly = np.ones_like(y)
     for j in range(1, levels):
         if exponents[j]:
-            poly = poly * (y ** j / math.factorial(j)) ** exponents[j]
+            poly = poly * powers[j] ** exponents[j]
     last = exponents[levels]
     if last:
-        small = np.abs(y) < 1.0
-        # Each branch gets 0 where the other one applies, so the unused
-        # branch can neither overflow nor warn.
-        tail = _tail_series(np.where(small, y, 0.0), levels)
-        big = np.where(small, 0.0, y)
-        head = 1.0 - np.exp(-big) * _low_poly(big, levels)
-        poly = poly * np.where(small, tail, head) ** last
+        poly = poly * last_factor ** last
         folded = folded + np.where(small, last, 0)
     return np.exp(overlap_exp - folded * y) * poly
 
 
-def povm_product_value(state, cfg: DetectorConfig, exponents: tuple[int, ...]):
+def _as_exponent(e) -> int:
+    """``e`` as an int; a ValueError names an exponent that is not an integer."""
+    try:
+        return operator.index(e)
+    except TypeError:
+        raise ValueError(f"exponent {e!r} is not an integer") from None
+
+
+def _povm_values(state, cfg: DetectorConfig, levels: int, rows: list) -> list:
+    """One :func:`povm_product_value` per validated exponent row, in order."""
+    if isinstance(state, Mixture):
+        parts = [(p, _povm_values(part, cfg, levels, rows)) for p, part in state.parts]
+        return [sum(p * values[q] for p, values in parts) for q in range(len(rows))]
+    if isinstance(state, FockVector):
+        return [
+            expect_fock(state, _povm_product_expr(levels, row, cfg.gamma_rate, cfg.dark))
+            for row in rows
+        ]
+    if isinstance(state, CoherentSuperposition):
+        return [
+            float(value[0])
+            for value in _povm_values(CoherentStack([state]), cfg, levels, rows)
+        ]
+    if not isinstance(state, CoherentStack):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    if state.modes != 1:
+        raise ValueError("detector models address a single mode")
+    y = cfg.gamma_rate * state.x[..., 0] + cfg.dark
+    overlap = state.overlap[..., 0]
+    # an overflow is reported by pair_sum, with the grid points it hit
+    with np.errstate(over="ignore", invalid="ignore"):
+        shared = _shared_factors(y, rows, levels)
+    values = []
+    for row in rows:
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = state.pair * _pair_product(y, overlap, row, levels, *shared)
+        values.append(pair_sum(terms))
+    return values
+
+
+def povm_product_value(state, cfg: DetectorConfig, exponents):
     """Expectation <: pi_0^{e_0} ... pi_K^{e_K} :> via the product form.
 
     The on-off model is the K = 1 case with exponents (no-click, click).
@@ -260,32 +323,24 @@ def povm_product_value(state, cfg: DetectorConfig, exponents: tuple[int, ...]):
     stable there because probabilities enter with positive weights.  A
     :class:`~.states.CoherentStack` gives an array with one value per grid
     point; a single superposition is the one-point stack.
+
+    ``exponents`` is one tuple, or a sequence of tuples that gives a list
+    with one value per tuple, in order.  The factors that all tuples share
+    are then computed once per call.
     """
     if cfg.model == PHOTOELECTRIC:
         raise ValueError("POVM products apply to the multiplexed models")
     levels = 1 if cfg.model == ONOFF else cfg.levels
-    exponents = tuple(int(e) for e in exponents)
-    if len(exponents) != levels + 1 or any(e < 0 for e in exponents):
-        raise ValueError(f"need {levels + 1} nonnegative exponents, got {exponents}")
-    if isinstance(state, Mixture):
-        return sum(
-            p * povm_product_value(part, cfg, exponents) for p, part in state.parts
-        )
-    if isinstance(state, FockVector):
-        return expect_fock(
-            state, _povm_product_expr(levels, exponents, cfg.gamma_rate, cfg.dark)
-        )
-    if isinstance(state, CoherentSuperposition):
-        return float(povm_product_value(CoherentStack([state]), cfg, exponents)[0])
-    if not isinstance(state, CoherentStack):
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    if state.modes != 1:
-        raise ValueError("detector models address a single mode")
-    y = cfg.gamma_rate * state.x[..., 0] + cfg.dark
-    # an overflow is reported by pair_sum, with the grid points it hit
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = state.pair * _pair_product(y, state.overlap[..., 0], exponents, levels)
-    return pair_sum(terms)
+    batch = len(exponents) > 0 and np.ndim(exponents[0]) > 0
+    rows = [
+        tuple(_as_exponent(e) for e in row)
+        for row in (exponents if batch else [exponents])
+    ]
+    for row in rows:
+        if len(row) != levels + 1 or any(e < 0 for e in row):
+            raise ValueError(f"need {levels + 1} nonnegative exponents, got {row}")
+    values = _povm_values(state, cfg, levels, rows)
+    return values if batch else values[0]
 
 
 # --------------------------------------------------------------------------
@@ -326,6 +381,7 @@ def photo_distribution(state: StateSpec, cfg: DetectorConfig,
 
 def factorial_moment(state: StateSpec, cfg: DetectorConfig, m: int) -> float:
     """Normally ordered moment <: (eta n)^m :> of the attenuated photon number."""
+    m = _as_exponent(m)
     if m < 0:
         raise ValueError("moment order must be >= 0")
     return expect_any(state, NOExpr.monomial(1.0, m, 0.0, cfg.efficiency, 0.0))
@@ -335,6 +391,7 @@ def factorial_moment_from_counts(counts: CountDistribution, m: int) -> float:
     """Same moment recovered from a photocount distribution as sum n!/(n-m)! p_n."""
     if counts.kind != "photo":
         raise ValueError("needs a photocount distribution")
+    m = _as_exponent(m)
     return sum(
         falling_factorial(n, m) * p for n, p in zip(counts.outcomes, counts.probs)
     )
@@ -349,10 +406,8 @@ def click_distribution(state: StateSpec, cfg: DetectorConfig) -> CountDistributi
     if cfg.model != ONOFF:
         raise ValueError("click_distribution needs an onoff config")
     bins = cfg.bins
-    probs = [
-        binom(bins, k) * povm_product_value(state, cfg, (bins - k, k))
-        for k in range(bins + 1)
-    ]
+    values = povm_product_value(state, cfg, [(bins - k, k) for k in range(bins + 1)])
+    probs = [binom(bins, k) * value for k, value in enumerate(values)]
     return CountDistribution("click", tuple(range(bins + 1)), tuple(probs), cfg)
 
 
@@ -374,6 +429,7 @@ def click_moment_from_counts(counts: CountDistribution, m: int) -> float:
     if counts.kind != "click":
         raise ValueError("needs a click distribution")
     bins = counts.config.bins
+    m = _as_exponent(m)
     if not 0 <= m <= bins:
         raise ValueError(f"moment order must satisfy 0 <= m <= N={bins}")
     norm = binom(bins, m)
@@ -420,9 +476,9 @@ def pnr_distribution(state: StateSpec, cfg: DetectorConfig) -> CountDistribution
             f"outcome space of size {n_outcomes} exceeds the {_MAX_OUTCOMES} guard"
         )
     outcomes = pnr_outcomes(bins, levels)
+    values = povm_product_value(state, cfg, outcomes)
     probs = [
-        multinom(bins, outcome) * povm_product_value(state, cfg, outcome)
-        for outcome in outcomes
+        multinom(bins, outcome) * value for outcome, value in zip(outcomes, values)
     ]
     return CountDistribution("pnr", tuple(outcomes), tuple(probs), cfg)
 
@@ -445,7 +501,7 @@ def pnr_moment_from_counts(counts: CountDistribution,
     if counts.kind != "pnr":
         raise ValueError("needs a pnr distribution")
     bins = counts.config.bins
-    exponents = tuple(int(e) for e in exponents)
+    exponents = tuple(_as_exponent(e) for e in exponents)
     order = sum(exponents)
     if order > bins:
         raise ValueError(f"total order {order} exceeds N={bins}")

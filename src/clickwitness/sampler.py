@@ -169,7 +169,7 @@ def sample(dist: CountDistribution, shots: int, seed: int) -> SampleRun:
     # Every other drawn bucket goes whole to the outcome of its lowest draw.
     whole = np.flatnonzero((buckets > 0) & ~split)
     np.add.at(counts, _locate(thresholds, whole << shift), buckets[whole])
-    return SampleRun(seed, shots, dist, tuple(int(c) for c in counts))
+    return SampleRun(seed, shots, dist, tuple(counts.tolist()))
 
 
 # --------------------------------------------------------------------------

@@ -334,11 +334,14 @@ def entry_quantity(cfg: DetectorConfig, kind: str, a, b):
     return NOExpr.monomial(1.0, s, 0.0, cfg.efficiency, 0.0)
 
 
-def _expectation(state, cfg: DetectorConfig, quantity):
-    """Value of an :func:`entry_quantity`; an array for a CoherentStack."""
-    if isinstance(quantity, NOExpr):
-        return expect_any(state, quantity)
-    return povm_product_value(state, cfg, quantity)
+def _expectations(state, cfg: DetectorConfig, quantities: list) -> list:
+    """Values of :func:`entry_quantity` results, in order; arrays for a CoherentStack.
+
+    POVM exponent tuples all go through one kernel call.
+    """
+    if cfg.model == PHOTOELECTRIC:
+        return [np.asarray(expect_any(state, quantity)) for quantity in quantities]
+    return [np.asarray(value) for value in povm_product_value(state, cfg, quantities)]
 
 
 def _metadata(state, cfg, iset, **extra) -> dict:
@@ -374,10 +377,8 @@ def _state_report(state: StateSpec, cfg: DetectorConfig, iset: IndexSet,
                   kind: str) -> WitnessReport:
     check_admissible(iset, cfg, kind)
     quantities = _pair_quantities(iset, lambda a, b: entry_quantity(cfg, kind, a, b))
-    values = {
-        quantity: np.asarray(_expectation(state, cfg, quantity))
-        for quantity in dict.fromkeys(quantities.values())
-    }
+    distinct = list(dict.fromkeys(quantities.values()))
+    values = dict(zip(distinct, _expectations(state, cfg, distinct)))
     matrix = SymMatrix(_fill(len(iset.elements), quantities, values))
     return _report(matrix, iset.elements, f"{kind}:{cfg.model}",
                    _metadata(state, cfg, iset))
@@ -412,9 +413,9 @@ def min_eig_sweep(states, cfg: DetectorConfig, kind: str, iset: IndexSet,
     """
     check_admissible(iset, cfg, kind)
     quantities = _pair_quantities(iset, lambda a, b: entry_quantity(cfg, kind, a, b))
-    for quantity in quantities.values():
-        if quantity not in values:
-            values[quantity] = np.asarray(_expectation(states, cfg, quantity))
+    missing = [q for q in dict.fromkeys(quantities.values()) if q not in values]
+    if missing:
+        values.update(zip(missing, _expectations(states, cfg, missing)))
     entries = _fill(len(iset.elements), quantities, values)
     min_eig = min_eigenvalues(entries)
     flags = nonclassical(min_eig, np.abs(entries).max(axis=(-2, -1)))
@@ -556,10 +557,16 @@ def klyshko_ratio(counts: CountDistribution, variant: str) -> KlyshkoResult:
 
 def g_functions(state: StateSpec, cfg: DetectorConfig, max_m: int) -> list[float]:
     """Normalized click-correlation functions g^(m) = <:pi^m:> / <:pi:>^m."""
-    mean = click_moment(state, cfg, 1)
+    if cfg.model != ONOFF:
+        raise ValueError("g functions need an onoff config")
+    if max_m > cfg.bins:
+        raise ValueError(f"moment order must satisfy 0 <= m <= N={cfg.bins}")
+    orders = range(1, max(max_m, 1) + 1)
+    moments = povm_product_value(state, cfg, [(0, m) for m in orders])
+    mean = moments[0]
     if mean <= 0.0:
         raise ValueError("g functions need <:pi:> > 0 (state must trigger clicks)")
-    return [click_moment(state, cfg, m) / mean ** m for m in range(1, max_m + 1)]
+    return [moments[m - 1] / mean ** m for m in range(1, max_m + 1)]
 
 
 def g_matrix(report: WitnessReport) -> WitnessReport:

@@ -225,6 +225,25 @@ class TestMainEntry:
         assert f"index set {label!r} has dimension {dim}" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_admissible_sweep_reaches_the_patched_kernel(self, tmp_path, monkeypatch):
+        # positive control for the guard above: a sweep that is admitted
+        # does evaluate its entries through witnesses.povm_product_value
+        from clickwitness import witnesses
+
+        kernel = witnesses.povm_product_value
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr("clickwitness.witnesses.povm_product_value", counted)
+        code = main(["sweep", "--model", "onoff", "--bins", "5", "--points", "3",
+                     "--outdir", str(tmp_path)])
+        assert code == 0
+        assert calls
+        assert list(tmp_path.glob("*.csv"))
+
     def test_figures_command(self, tmp_path):
         code = main(["figures", "fig1", "--outdir", str(tmp_path)])
         assert code == 0

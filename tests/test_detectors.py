@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -381,3 +383,88 @@ def test_distributions_depend_on_eta_beta2_product_only():
         da = build(state_a, make_cfg(0.5))
         db = build(state_b, make_cfg(1.0))
         assert da.probs == pytest.approx(db.probs, rel=1e-12, abs=1e-14)
+
+
+def _exponent_rows(cfg):
+    """Every tuple of K + 1 nonnegative exponents that sums to at most N."""
+    levels = 1 if cfg.levels is None else cfg.levels
+    return [
+        row for row in itertools.product(range(cfg.bins + 1), repeat=levels + 1)
+        if sum(row) <= cfg.bins
+    ]
+
+
+@pytest.mark.parametrize("cfg", [
+    DetectorConfig.onoff(5, 0.9),
+    DetectorConfig.onoff(3, 0.9, 0.05),
+    DetectorConfig.pnr(4, 2, 0.9),
+    DetectorConfig.pnr(3, 3, 0.9, 0.05),
+], ids=["onoff", "onoff-dark", "pnr-k2", "pnr-k3-dark"])
+def test_batched_povm_products_equal_single_calls(cfg):
+    # the grid puts |y| on both sides of 1, so both branches of pi_K occur
+    rng = np.random.default_rng(71)
+    cats = [make_cat(math.sqrt(s), parity)
+            for s in (0.02, 0.7, 4.0, 30.0) for parity in ("even", "odd")]
+    stack = CoherentStack(cats + [random_cat(rng, max_abs2=30.0) for _ in range(4)])
+    y = np.abs(cfg.gamma_rate * stack.x[..., 0] + cfg.dark)
+    assert (y < 1.0).any() and (y > 1.0).any()
+    rows = _exponent_rows(cfg)
+    batched = povm_product_value(stack, cfg, rows)
+    assert len(batched) == len(rows)
+    for row, value in zip(rows, batched):
+        assert np.array_equal(value, povm_product_value(stack, cfg, row))
+
+
+@pytest.mark.parametrize("state", [
+    make_cat(1.3, "odd"),
+    random_coherent_mixture(np.random.default_rng(73)),
+    FockVector((0.6, 0.0, 0.8)),
+], ids=["superposition", "mixture", "fock"])
+def test_batched_povm_products_equal_single_calls_per_state_type(state):
+    for cfg in (DetectorConfig.onoff(4, 0.7, 0.02), DetectorConfig.pnr(4, 2, 0.7, 0.02)):
+        rows = _exponent_rows(cfg)
+        batched = povm_product_value(state, cfg, rows)
+        assert batched == [povm_product_value(state, cfg, row) for row in rows]
+
+
+class TestIntegerExponents:
+    # an exponent that operator.index rejects raises on every route instead
+    # of being truncated to an integer
+    ONOFF4 = DetectorConfig.onoff(4, 0.6)
+    PNR42 = DetectorConfig.pnr(4, 2, 0.6)
+    CAT = make_cat(1.0, "odd")
+
+    @pytest.mark.parametrize("m", [1.9, 2.0, np.float64(1.0)])
+    def test_click_moment_routes(self, m):
+        message = re.escape(f"exponent {m!r} is not an integer")
+        with pytest.raises(ValueError, match=message):
+            click_moment(self.CAT, self.ONOFF4, m)
+        counts = click_distribution(self.CAT, self.ONOFF4)
+        with pytest.raises(ValueError, match=message):
+            click_moment_from_counts(counts, m)
+
+    def test_pnr_moment_routes(self):
+        with pytest.raises(ValueError, match="exponent 0.5 is not an integer"):
+            pnr_moment(self.CAT, self.PNR42, (0.5, 1.5, 0))
+        counts = pnr_distribution(self.CAT, self.PNR42)
+        with pytest.raises(ValueError, match="exponent 0.5 is not an integer"):
+            pnr_moment_from_counts(counts, (0.5, 1.5, 0))
+
+    def test_factorial_moment_routes(self):
+        cfg = DetectorConfig.photoelectric(0.6)
+        with pytest.raises(ValueError, match="exponent 1.9 is not an integer"):
+            factorial_moment(self.CAT, cfg, 1.9)
+        counts = photo_distribution(self.CAT, cfg, n_max=30)
+        with pytest.raises(ValueError, match="exponent 1.9 is not an integer"):
+            factorial_moment_from_counts(counts, 1.9)
+
+    def test_kernel_rejects_any_fractional_row(self):
+        with pytest.raises(ValueError, match="exponent 1.5 is not an integer"):
+            povm_product_value(self.CAT, self.ONOFF4, [(1, 1), (1.5, 0)])
+
+    def test_integer_types_are_accepted(self):
+        assert click_moment(self.CAT, self.ONOFF4, np.int64(2)) == click_moment(
+            self.CAT, self.ONOFF4, 2)
+        counts = click_distribution(self.CAT, self.ONOFF4)
+        assert click_moment_from_counts(counts, np.int64(2)) == click_moment_from_counts(
+            counts, 2)

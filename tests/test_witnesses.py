@@ -9,7 +9,7 @@ from clickwitness.detectors import (
     photo_distribution,
     pnr_distribution,
 )
-from clickwitness.states import FockVector, coherent_state, make_cat
+from clickwitness.states import CoherentStack, FockVector, coherent_state, make_cat
 from clickwitness.witnesses import (
     INDETERMINATE,
     NONCLASSICAL,
@@ -23,6 +23,7 @@ from clickwitness.witnesses import (
     g_functions,
     g_matrix,
     klyshko_ratio,
+    min_eig_sweep,
     moment_matrix,
     moment_matrix_from_counts,
     qb_parameter,
@@ -328,6 +329,10 @@ class TestGFunctions:
         with pytest.raises(ValueError):
             g_functions(coherent_state(0.0), cfg, 2)
 
+    def test_order_above_bins_rejected(self):
+        with pytest.raises(ValueError, match="N=3"):
+            g_functions(coherent_state(1.0), DetectorConfig.onoff(3, 0.7), 4)
+
     def test_g_matrix_determinant_identities(self):
         cfg = DetectorConfig.onoff(5, 0.5)
         cat = make_cat(1.0, "odd")
@@ -436,3 +441,36 @@ class TestSkewnessWitness:
             assert witness == pytest.approx(det, rel=1e-9, abs=1e-14)
             negatives += witness < 0
         assert negatives > 0
+
+
+def test_wide_onoff_sweep_evaluates_tail_series_once_per_kernel_call(monkeypatch):
+    # the tail series of pi_K is shared by every exponent tuple of a kernel
+    # call, so a sweep must not re-evaluate it per matrix entry
+    from clickwitness import detectors, witnesses
+
+    calls = {"tail": 0, "kernel": 0}
+    tail_series, kernel = detectors._tail_series, witnesses.povm_product_value
+
+    def counted_tail(*args):
+        calls["tail"] += 1
+        return tail_series(*args)
+
+    def counted_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(detectors, "_tail_series", counted_tail)
+    monkeypatch.setattr(witnesses, "povm_product_value", counted_kernel)
+    cfg = DetectorConfig.onoff(31, 0.5)
+    stack = CoherentStack([make_cat(math.sqrt(s), parity)
+                           for s in np.logspace(-2, 1.5, 10)
+                           for parity in ("even", "odd")])
+    values = {}
+    for iset in enumerate_index_sets(cfg):
+        for kind in ("counts", "moments"):
+            min_eig_sweep(stack, cfg, kind, iset, values)
+    assert len(values) == 63
+    # (0, 31) closes the half-set counts, after which every half-set moment
+    # (0, s) is known and that matrix needs no kernel call
+    assert calls["kernel"] == 3
+    assert 1 <= calls["tail"] <= calls["kernel"]
