@@ -23,6 +23,7 @@ import json
 import os
 import re
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -115,26 +116,35 @@ def _per_point(values, grid) -> list:
     return np.broadcast_to(values, (len(grid),)).tolist()
 
 
-def _matrix_rows(scenario: Scenario) -> list[tuple]:
+# The rows of each output file, keyed by (set_id, criterion): the cells
+# every row shares (eta, bins, levels, modes) and a list of
+# (grid_value, state, value, verdict) rows.
+Blocks = dict[tuple[str, str], tuple[tuple, list[tuple]]]
+
+
+def _add_rows(blocks: Blocks, key: tuple[str, str], shared: tuple,
+              state_label: str, grid, values, verdicts) -> None:
+    _, rows = blocks.setdefault(key, (shared, []))
+    rows.extend(zip(grid, repeat(state_label), _per_point(values, grid),
+                    _per_point(verdicts, grid)))
+
+
+def _matrix_blocks(scenario: Scenario) -> Blocks:
     cfg = scenario.detector
     isets = _resolve_sets(scenario)
     if not isets:
         raise ValueError(f"no index sets selected by {scenario.sets!r}")
     grid = scenario.sweep.grid()
-    rows = []
+    shared = (cfg.efficiency, cfg.bins, cfg.levels, scenario.state.modes)
+    blocks: Blocks = {}
     for state_label, states in scenario.state.stack(grid):
         values: dict = {}
         for kind in scenario.kinds:
             for iset in isets:
                 min_eig, verdicts = min_eig_sweep(states, cfg, kind, iset, values)
-                for alpha2, value, verdict in zip(
-                        grid, _per_point(min_eig, grid), _per_point(verdicts, grid)):
-                    rows.append((
-                        alpha2, iset.label, f"{kind}_min_eig", value,
-                        "", verdict, state_label, cfg.efficiency,
-                        cfg.bins, cfg.levels, scenario.state.modes,
-                    ))
-    return rows
+                _add_rows(blocks, (iset.label, f"{kind}_min_eig"), shared,
+                          state_label, grid, min_eig, verdicts)
+    return blocks
 
 
 def _case_indices(case: str, modes: int) -> tuple[MultiIndex, MultiIndex]:
@@ -150,59 +160,85 @@ def _case_indices(case: str, modes: int) -> tuple[MultiIndex, MultiIndex]:
     return MultiIndex.of(n_raw), MultiIndex.of(m_raw)
 
 
-def _ratio_rows(scenario: Scenario) -> list[tuple]:
+def _ratio_blocks(scenario: Scenario) -> Blocks:
     grid = scenario.sweep.grid()
-    rows = []
+    blocks: Blocks = {}
     for mu in scenario.mode_counts:
+        shared = (1.0, "", "", mu)
         for state_label, states in scenario.state.stack(grid, modes=mu):
-            mean_n = _per_point(mean_total_photons(states), grid)
+            mean_n = mean_total_photons(states)
             for case in scenario.cases:
                 n_idx, m_idx = _case_indices(case, mu)
                 set_id = f"case_{case}_mu{mu}"
                 result = ratio_criterion(states, n_idx, m_idx)
-                for alpha2, ratio, verdict, mean in zip(
-                        grid, _per_point(result.ratio, grid),
-                        _per_point(result.verdict, grid), mean_n):
-                    rows.append((
-                        alpha2, set_id, "moment_ratio", ratio, "",
-                        verdict, state_label, 1.0, "", "", mu,
-                    ))
-                    rows.append((
-                        alpha2, set_id, "mean_photon_number", mean, "",
-                        "", state_label, 1.0, "", "", mu,
-                    ))
-    return rows
+                _add_rows(blocks, (set_id, "moment_ratio"), shared, state_label,
+                          grid, result.ratio, result.verdict)
+                _add_rows(blocks, (set_id, "mean_photon_number"), shared,
+                          state_label, grid, mean_n, "")
+    return blocks
+
+
+class _Echo:
+    """A file whose ``write`` returns its text, so ``writerow`` returns the line."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+def _csv_cells(*cells) -> str:
+    """``cells`` joined as ``csv.writer`` writes them inside a longer row."""
+    # the empty last cell keeps a lone empty cell from being quoted
+    line = csv.writer(_Echo, lineterminator="\n").writerow([*map(_fmt, cells), ""])
+    return line[:-2]
+
+
+def _csv_lines(set_id: str, criterion: str, shared: tuple, rows: list[tuple]) -> list[str]:
+    """The lines of one CSV file, header first.
+
+    The cells that stay the same within the file are quoted once per state
+    label; each row formats only its grid value and value, so the lines are
+    the ones ``csv.writer`` writes row by row.  Verdicts are package
+    constants that never need quoting, and stderr is empty (exact values).
+    """
+    head = _csv_cells(set_id, criterion)
+    tails = {state: _csv_cells(state, *shared) for state in {row[1] for row in rows}}
+    lines = [_csv_cells(*COLUMNS) + "\n"]
+    lines.extend(
+        f"{grid_value:.17g},{head},{value:.17g},,{verdict},{tails[state]}\n"
+        for grid_value, state, value, verdict in rows
+    )
+    return lines
 
 
 def run(scenario: Scenario, outdir=None) -> list[Path]:
     """Execute a scenario; returns the written file paths."""
     outdir = Path(outdir or os.environ.get(ENV_OUTDIR) or scenario.output.path)
     if tuple(scenario.criteria) == MATRIX_CRITERIA:
-        rows = _matrix_rows(scenario)
+        blocks = _matrix_blocks(scenario)
     else:
-        rows = _ratio_rows(scenario)
+        blocks = _ratio_blocks(scenario)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    grouped: dict[tuple[str, str], list[tuple]] = {}
-    for row in rows:
-        grouped.setdefault((row[1], row[2]), []).append(row)
-
     paths = []
-    for (set_id, criterion) in sorted(grouped):
-        block = sorted(grouped[(set_id, criterion)], key=lambda r: (r[0], r[6]))
+    for (set_id, criterion) in sorted(blocks):
+        shared, rows = blocks[(set_id, criterion)]
+        rows = sorted(rows, key=lambda r: (r[0], r[1]))
         stem = f"{scenario.name}_{_slug(set_id)}_{_slug(criterion)}"
         if scenario.output.format == "csv":
             path = outdir / f"{stem}.csv"
             with open(path, "w", newline="") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(COLUMNS)
-                for row in block:
-                    writer.writerow([_fmt(v) for v in row])
+                handle.write("".join(_csv_lines(set_id, criterion, shared, rows)))
         else:
             path = outdir / f"{stem}.json"
             payload = {
                 "columns": list(COLUMNS),
-                "rows": [[None if v == "" else v for v in row] for row in block],
+                "rows": [
+                    [None if v == "" else v
+                     for v in (grid_value, set_id, criterion, value, "", verdict,
+                               state, *shared)]
+                    for grid_value, state, value, verdict in rows
+                ],
             }
             with open(path, "w") as handle:
                 json.dump(payload, handle, indent=None, sort_keys=True)

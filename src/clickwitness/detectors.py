@@ -114,13 +114,15 @@ class CountDistribution:
     def __post_init__(self):
         if len(self.outcomes) != len(self.probs):
             raise ValueError("outcomes and probs must align")
-        cleaned = []
-        for outcome, p in zip(self.outcomes, self.probs):
-            if not -_NEG_TOL <= p < math.inf:
-                raise ValueError(
-                    f"probability {p} of outcome {outcome} is negative or not finite")
-            cleaned.append(max(float(p), 0.0))
-        object.__setattr__(self, "probs", tuple(cleaned))
+        probs = np.asarray(self.probs, dtype=float)
+        bad = ~((probs >= -_NEG_TOL) & (probs < math.inf))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"probability {self.probs[k]} of outcome "
+                             f"{self.outcomes[k]} is negative or not finite")
+        # -0.0 is kept, as max(-0.0, 0.0) keeps it; np.maximum would not
+        cleaned = tuple(np.where(probs < 0.0, 0.0, probs).tolist())
+        object.__setattr__(self, "probs", cleaned)
         total = sum(cleaned)
         if abs(total - 1.0) > _NORM_TOL:
             warnings.warn(

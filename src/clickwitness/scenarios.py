@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detectors import DetectorConfig
-from .states import CoherentStack, FockVector, StateSpec, coherent_state, make_cat
+from .states import (
+    CoherentStack,
+    FockVector,
+    StateSpec,
+    cat_weight,
+    coherent_state,
+    make_cat,
+)
 
 MATRIX_CRITERIA = ("min_eig",)
 RATIO_CRITERIA = ("moment_ratio", "mean_photon_number")
@@ -63,16 +70,42 @@ class StateInput:
         """The states of every grid point, one entry per state label.
 
         Coherent and cat inputs give a :class:`~.states.CoherentStack` of
-        the states :meth:`build` makes at each point.  A Fock input is the
-        same state at every point, so it is returned once, unstacked.
+        the states :meth:`build` makes at each point, filled as arrays and
+        checked for normalization once per stack.  A Fock input is the same
+        state at every point, so it is returned once, unstacked.
         """
+        modes = modes or self.modes
         if self.kind == "fock":
             return self.build(grid[0], modes)
-        per_point = [self.build(alpha2, modes) for alpha2 in grid]
-        return [
-            (label, CoherentStack([states[k][1] for states in per_point]))
-            for k, (label, _) in enumerate(per_point[0])
-        ]
+        # the per-point scalars with the Python float operations of build
+        # and make_cat, so that every array entry is bit-identical
+        amps = [math.sqrt(alpha2 / modes) for alpha2 in grid]
+        plus = np.repeat(np.array(amps, dtype=complex)[:, None, None], modes, axis=2)
+        if self.kind == "coherent":
+            parts = [("coherent", np.ones((len(grid), 1), dtype=complex), plus)]
+        else:
+            pumped = [sum(abs(a) ** 2 for a in (complex(amp),) * modes) for amp in amps]
+            # a zero amplitude gives the one-component even cat, the vacuum
+            vacuum = np.array([p == 0.0 for p in pumped])
+            amplitudes = np.concatenate([plus, -plus], axis=1)
+            amplitudes[vacuum, 1] = 0.0
+            width = 1 if vacuum.all() else 2
+            parities = ("even", "odd") if self.parity == "both" else (self.parity,)
+            parts = []
+            for parity in parities:
+                if parity == "odd" and vacuum.any():
+                    raise ValueError("odd cat state is undefined at zero amplitude")
+                sign = 1.0 if parity == "even" else -1.0
+                first = np.array([1.0 if p == 0.0 else cat_weight(p, sign) for p in pumped])
+                weights = np.stack([first, np.where(vacuum, 0.0, sign * first)], axis=1)
+                parts.append((f"cat_{parity}", weights[:, :width].astype(complex),
+                              amplitudes[:, :width]))
+        stacks = []
+        for label, weights, amplitudes in parts:
+            stack = CoherentStack.from_arrays(weights, amplitudes)
+            stack.check_normalized(grid)
+            stacks.append((label, stack))
+        return stacks
 
 
 @dataclass(frozen=True)

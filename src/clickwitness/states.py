@@ -312,9 +312,14 @@ def make_cat(alpha, parity: str, modes: int | None = None) -> CoherentSuperposit
             raise ValueError("odd cat state is undefined at zero amplitude")
         return coherent_state(0j, len(amps))
     sign = 1.0 if parity == "even" else -1.0
-    weight = 1.0 / math.sqrt(2.0 * (1.0 + sign * math.exp(-2.0 * pumped)))
+    weight = cat_weight(pumped, sign)
     minus = tuple(-a for a in amps)
     return CoherentSuperposition((weight, sign * weight), (amps, minus))
+
+
+def cat_weight(pumped: float, sign: float) -> float:
+    """Weight w of |alpha> in w (|alpha> + sign |-alpha>), sum_m |alpha_m|^2 = pumped."""
+    return 1.0 / math.sqrt(2.0 * (1.0 + sign * math.exp(-2.0 * pumped)))
 
 
 # --------------------------------------------------------------------------
@@ -354,16 +359,45 @@ class CoherentStack:
         if any(state.modes != modes for state in states):
             raise ValueError("all stacked states must share the mode count")
         width = max(len(state.weights) for state in states)
-        self.weights = np.zeros((len(states), width), dtype=complex)
-        self.amplitudes = np.zeros((len(states), width, modes), dtype=complex)
+        weights = np.zeros((len(states), width), dtype=complex)
+        amplitudes = np.zeros((len(states), width, modes), dtype=complex)
         for g, state in enumerate(states):
-            self.weights[g, :len(state.weights)] = state.weights
-            self.amplitudes[g, :len(state.weights)] = state.amplitudes
-        w, a = self.weights, self.amplitudes
+            weights[g, :len(state.weights)] = state.weights
+            amplitudes[g, :len(state.weights)] = state.amplitudes
+        self._set(weights, amplitudes)
+
+    @classmethod
+    def from_arrays(cls, weights: np.ndarray, amplitudes: np.ndarray) -> "CoherentStack":
+        """The stack of (G, C) ``weights`` and (G, C, modes) ``amplitudes``, as given.
+
+        Nothing is checked here; :meth:`check_normalized` checks every
+        grid point at once.
+        """
+        stack = cls.__new__(cls)
+        stack._set(weights, amplitudes)
+        return stack
+
+    def _set(self, weights: np.ndarray, amplitudes: np.ndarray) -> None:
+        self.weights = w = weights
+        self.amplitudes = a = amplitudes
         self.pair = w.conj()[:, :, None] * w[:, None, :]
         self.x = a.conj()[:, :, None, :] * a[:, None, :, :]
         norm = np.abs(a) ** 2
         self.overlap = -0.5 * (norm[:, :, None, :] + norm[:, None, :, :]) + self.x
+
+    def check_normalized(self, points: Sequence) -> None:
+        """Raise ValueError naming the first of ``points`` whose state is not normalized.
+
+        <psi|psi> = sum_ij conj(w_i) w_j <a_i|a_j> must be 1 to 1e-12 at
+        every grid point, as for a single :class:`CoherentSuperposition`.
+        """
+        norms = (self.pair * np.exp(self.overlap.sum(axis=-1))).sum(axis=(1, 2))
+        bad = np.flatnonzero(np.abs(norms - 1.0) > _NORM_TOL)
+        if bad.size:
+            g = bad[0]
+            raise ValueError(
+                f"superposition at {points[g]!r} is not normalized: <psi|psi> = {norms[g]}"
+            )
 
     @property
     def modes(self) -> int:

@@ -262,12 +262,19 @@ def _report(matrix: SymMatrix, labels, source: str, metadata: dict) -> WitnessRe
     )
 
 
+def _whole(twice: int) -> int:
+    """The integer whose double is ``twice``; an odd ``twice`` raises like HalfInt.to_int."""
+    if twice % 2:
+        raise ValueError(f"{twice}/2 is not a whole integer")
+    return twice // 2
+
+
 def _pair_sum_scalar(a: HalfInt, b: HalfInt) -> int:
-    return (a + b).to_int()
+    return _whole(a.twice + b.twice)
 
 
 def _pair_sum_multi(a: tuple, b: tuple) -> tuple[int, ...]:
-    return tuple((x + y).to_int() for x, y in zip(a, b))
+    return tuple(_whole(x.twice + y.twice) for x, y in zip(a, b))
 
 
 def check_admissible(iset: IndexSet, cfg: DetectorConfig, kind: str) -> None:

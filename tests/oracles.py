@@ -12,10 +12,14 @@ package evaluates every redraw of a bootstrap in one array pass.  The
 sampler oracle draws every shot as a float uniform and binary-searches it in
 the float CDF; the package compares integer draws with integer thresholds
 through a bucket histogram.  It reuses the package's SplitMix64, which the
-sampler tests check against a pure-Python reference.
+sampler tests check against a pure-Python reference.  The distribution
+check and the CSV writer at the end take one probability and one row at a
+time; the package checks a whole distribution as an array and formats the
+cells that a CSV block shares once.
 """
 
 import cmath
+import csv
 import math
 
 import numpy as np
@@ -366,3 +370,35 @@ def single_pass_counts(dist, shots, seed):
     idx = np.searchsorted(cdf, uniform01(seed, shots), side="right")
     idx = np.minimum(idx, len(dist.probs) - 1)
     return tuple(int(c) for c in np.bincount(idx, minlength=len(dist.probs)))
+
+
+# --------------------------------------------------------------------------
+# per-item loops behind CountDistribution and the sweep CSV files
+
+
+def loop_clean_probs(outcomes, probs, neg_tol=1e-14):
+    """Probabilities checked one at a time, roundoff negatives clipped by max."""
+    cleaned = []
+    for outcome, p in zip(outcomes, probs):
+        if not -neg_tol <= p < math.inf:
+            raise ValueError(
+                f"probability {p} of outcome {outcome} is negative or not finite")
+        cleaned.append(max(float(p), 0.0))
+    return tuple(cleaned)
+
+
+def _fmt(value):
+    if value is None or value == "":
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def write_rows_csv(path, columns, rows):
+    """A sweep CSV written row by row through ``csv.writer``."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])

@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
 from clickwitness.cli import COLUMNS, ENV_OUTDIR, main, run
 from clickwitness.scenarios import (
+    RATIO_CRITERIA,
+    OutputSpec,
     Scenario,
     StateInput,
     SweepSpec,
@@ -12,6 +15,7 @@ from clickwitness.scenarios import (
     scenario_from_json,
 )
 from clickwitness.detectors import DetectorConfig
+from oracles import write_rows_csv
 
 
 def read_csv(path):
@@ -126,6 +130,53 @@ class TestRun:
         payload = json.loads(paths[0].read_text())
         assert payload["columns"] == list(COLUMNS)
         assert len(payload["rows"]) == 1
+
+    @pytest.mark.parametrize("scenario", [
+        Scenario(
+            name="labels",
+            state=StateInput("cat", parity="both"),
+            detector=DetectorConfig.onoff(5, 0.5),
+            # labels csv.writer must quote, one label used twice (one file)
+            # and an empty label
+            sets=(('odd, "quoted"', (0, 1, 2)), ("new\nline", ("1/2", "3/2")),
+                  ("twice", (1, 2)), ("twice", (0, 1)), ("", (0, 2))),
+            kinds=("counts", "moments"),
+            # equal grid values: rows keep their order within a state
+            sweep=SweepSpec(start=0.5, stop=0.5, points=3, scale="linear"),
+        ),
+        Scenario(
+            name="ratios",
+            state=StateInput("coherent"),
+            # a zero amplitude gives NaN ratios
+            sweep=SweepSpec(start=0.0, stop=2.0, points=4, scale="linear"),
+            criteria=RATIO_CRITERIA,
+            mode_counts=(1, 3),
+            cases=("i", "iii"),
+        ),
+    ], ids=["labels", "ratios"])
+    def test_csv_matches_the_row_writer(self, scenario, tmp_path):
+        csv_paths = run(scenario, outdir=tmp_path / "csv")
+        as_json = dataclasses.replace(scenario, output=OutputSpec(format="json"))
+        json_paths = run(as_json, outdir=tmp_path / "json")
+        assert [p.stem for p in csv_paths] == [p.stem for p in json_paths]
+        for csv_path, json_path in zip(csv_paths, json_paths):
+            payload = json.loads(json_path.read_text())
+            oracle = tmp_path / "oracle.csv"
+            write_rows_csv(oracle, payload["columns"], payload["rows"])
+            assert csv_path.read_bytes() == oracle.read_bytes()
+
+    def test_user_labels_are_quoted(self, tmp_path):
+        scenario = Scenario(
+            name="labels",
+            state=StateInput("coherent"),
+            detector=DetectorConfig.onoff(5, 0.5),
+            sets=(('odd, "quoted"', (0, 1)),),
+            sweep=SweepSpec(start=0.5, stop=1.0, points=2),
+        )
+        path, = run(scenario, outdir=tmp_path)
+        rows = read_csv(path)
+        assert [row[1] for row in rows[1:]] == ['odd, "quoted"'] * 2
+        assert '0.5,"odd, ""quoted""",counts_min_eig,' in path.read_text()
 
     def test_env_var_overrides_outdir(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"

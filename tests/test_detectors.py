@@ -30,6 +30,7 @@ from clickwitness.states import (
     to_fock,
 )
 from helpers import random_cat, random_coherent, random_coherent_mixture
+from oracles import loop_clean_probs
 
 
 class TestDetectorConfig:
@@ -70,6 +71,31 @@ class TestCountDistribution:
         with pytest.warns(UserWarning):
             CountDistribution("photo", (0, 1), (0.5, 0.4),
                               DetectorConfig.photoelectric())
+
+    @pytest.mark.parametrize("probs", [
+        (0.5, -0.0, 0.25, -1e-15, 0.25, -1e-14, 5e-324),
+        (np.float64(0.75), np.float64(-0.0), np.float64(-3e-15), 0.25),
+        (1, 0, -0.0),
+    ])
+    def test_clipping_matches_the_loop(self, probs):
+        outcomes = tuple(range(len(probs)))
+        got = CountDistribution("click", outcomes, probs).probs
+        want = loop_clean_probs(outcomes, probs)
+        assert all(type(p) is float for p in got)
+        # bit for bit: -0.0 stays -0.0, as in the loop's max(-0.0, 0.0)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.1e-14,
+                                     np.float64(-0.5), np.float64(math.nan)])
+    def test_rejection_matches_the_loop(self, bad):
+        outcomes = ((0, 1), (1, 0), (2, 0), (0, 2))
+        probs = (0.5, -0.0, bad, math.nan)
+        with pytest.raises(ValueError) as want:
+            loop_clean_probs(outcomes, probs)
+        with pytest.raises(ValueError) as got:
+            CountDistribution("pnr", outcomes, probs)
+        assert str(got.value) == str(want.value)
+        assert "outcome (2, 0)" in str(got.value)
 
 
 class TestPhotoDistribution:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from clickwitness.scenarios import StateInput, SweepSpec
 from clickwitness.states import (
     CoherentStack,
     CoherentSuperposition,
     FockVector,
     Mixture,
     NOExpr,
+    cat_weight,
     coherent_state,
     expect,
     expect_any,
@@ -279,6 +281,83 @@ class TestCoherentStack:
     def test_mixed_mode_counts_rejected(self):
         with pytest.raises(ValueError):
             CoherentStack([coherent_state(1.0), coherent_state(1.0, modes=2)])
+
+
+class TestArrayStacks:
+    """``StateInput.stack`` against the stack of the states ``build`` makes."""
+
+    FIELDS = ("weights", "amplitudes", "pair", "x", "overlap")
+    SWEEPS = (
+        SweepSpec(start=1e-2, stop=1e1, points=200),
+        SweepSpec(start=1e-3, stop=20.0, points=37),
+        SweepSpec(start=0.0, stop=3.0, points=9, scale="linear"),
+    )
+
+    @staticmethod
+    def per_point(state_input, grid, modes):
+        states = [state_input.build(alpha2, modes) for alpha2 in grid]
+        return [
+            (label, CoherentStack([point[k][1] for point in states]))
+            for k, (label, _) in enumerate(states[0])
+        ]
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind, parity", [
+        ("coherent", None), ("cat", "even"), ("cat", "odd"), ("cat", "both"),
+    ])
+    @pytest.mark.parametrize("sweep", range(len(SWEEPS)))
+    def test_matches_the_per_point_stack(self, kind, parity, modes, sweep):
+        state_input = StateInput(kind, parity=parity)
+        grid = self.SWEEPS[sweep].grid()
+        if parity in ("odd", "both") and grid[0] == 0.0:
+            with pytest.raises(ValueError) as want:
+                self.per_point(state_input, grid, modes)
+            with pytest.raises(ValueError) as got:
+                state_input.stack(grid, modes)
+            assert str(got.value) == str(want.value)
+            return
+        want = self.per_point(state_input, grid, modes)
+        got = state_input.stack(grid, modes)
+        assert [label for label, _ in got] == [label for label, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            for field in self.FIELDS:
+                x, y = getattr(a, field), getattr(b, field)
+                assert x.shape == y.shape
+                assert np.all(x == y), field
+                # the same bits, signs of zeros included
+                assert np.ascontiguousarray(x).tobytes() == y.tobytes(), field
+
+    def test_all_vacuum_grid_is_one_component(self):
+        state_input = StateInput("cat", parity="even", modes=2)
+        (label, stack), = state_input.stack((0.0, 0.0))
+        assert label == "cat_even"
+        assert stack.weights.shape == (2, 1)
+        assert np.array_equal(stack.weights, np.ones((2, 1)))
+
+    def test_fock_input_is_returned_once(self):
+        state_input = StateInput("fock", coefficients=(0.6, 0.0, 0.8))
+        (label, state), = state_input.stack((0.1, 0.2))
+        assert label == "fock" and isinstance(state, FockVector)
+
+    def test_unnormalized_point_is_named(self, monkeypatch):
+        from clickwitness import scenarios
+
+        def off_at_one(pumped, sign):
+            weight = cat_weight(pumped, sign)
+            return 1.01 * weight if pumped == 1.0 else weight
+
+        monkeypatch.setattr(scenarios, "cat_weight", off_at_one)
+        with pytest.raises(ValueError, match=r"at 1\.0 is not normalized"):
+            StateInput("cat", parity="even").stack((0.5, 1.0, 2.0))
+
+    def test_check_normalized_names_the_first_bad_point(self):
+        weights = np.array([[1.0], [1.0 + 2e-12], [2.0]], dtype=complex)
+        stack = CoherentStack.from_arrays(weights, np.zeros((3, 1, 1), dtype=complex))
+        with pytest.raises(ValueError, match=r"at 'b' is not normalized"):
+            stack.check_normalized(["a", "b", "c"])
+        stack = CoherentStack.from_arrays(weights[:1] * (1.0 + 4e-13),
+                                          np.zeros((1, 1, 1), dtype=complex))
+        stack.check_normalized(["a"])
 
 
 class TestParitySupport:

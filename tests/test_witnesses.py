@@ -9,8 +9,12 @@ from clickwitness.detectors import (
     photo_distribution,
     pnr_distribution,
 )
+from clickwitness.numerics import HalfInt
 from clickwitness.states import CoherentStack, FockVector, coherent_state, make_cat
 from clickwitness.witnesses import (
+    _pair_quantities,
+    _pair_sum_multi,
+    _pair_sum_scalar,
     INDETERMINATE,
     NONCLASSICAL,
     NO_VIOLATION,
@@ -30,6 +34,7 @@ from clickwitness.witnesses import (
     skewness_witness,
 )
 from helpers import random_cat, random_coherent, random_coherent_mixture
+from oracles import _pair_sum as half_int_pair_sum
 
 HALF_SET = IndexSet(("1/2", "3/2"), "half")
 INT_SET_12 = IndexSet((1, 2), "integer")
@@ -106,6 +111,38 @@ class TestEnumeration:
         all_int = next(s for s in sets if s.label == "int-int-int")
         totals = {sum(p.twice for p in e) for e in all_int.elements}
         assert totals == {0, 2, 4}
+
+
+class TestPairSums:
+    @pytest.mark.parametrize("cfg", [
+        DetectorConfig.photoelectric(0.5),
+        DetectorConfig.onoff(31, 0.5),
+        DetectorConfig.pnr(4, 2, 0.5),
+        DetectorConfig.pnr(8, 2, 0.5),
+        DetectorConfig.pnr(5, 3, 0.5),
+    ])
+    def test_integer_sums_match_half_integer_sums(self, cfg):
+        for iset in enumerate_index_sets(cfg):
+            pair_sum = _pair_sum_multi if iset.multi else _pair_sum_scalar
+            got = _pair_quantities(iset, pair_sum)
+            assert got == _pair_quantities(iset, half_int_pair_sum)
+            for key in got.values():
+                assert all(type(k) is int for k in (key if iset.multi else (key,)))
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (-1, -2), (3, 0)])
+    def test_odd_sums_raise_as_half_integers(self, a, b):
+        pairs = [
+            (lambda: _pair_sum_scalar(HalfInt(a), HalfInt(b)),
+             lambda: (HalfInt(a) + HalfInt(b)).to_int()),
+            (lambda: _pair_sum_multi((HalfInt(2), HalfInt(a)), (HalfInt(0), HalfInt(b))),
+             lambda: half_int_pair_sum((HalfInt(2), HalfInt(a)), (HalfInt(0), HalfInt(b)))),
+        ]
+        for got, want in pairs:
+            with pytest.raises(ValueError) as want_exc:
+                want()
+            with pytest.raises(ValueError) as got_exc:
+                got()
+            assert str(got_exc.value) == str(want_exc.value)
 
 
 class TestCountMatrix:
