@@ -25,7 +25,12 @@ count K).  The bucket histogram is folded into outcome counts in int64.
 Since m_k depends only on (seed, k), shots are drawn in fixed-size chunks
 of the counter range and the per-chunk histograms summed: memory does not
 grow with the shot count, and the histogram is bit-identical to a single
-pass over all shots.
+pass over all shots.  A chunk starting at counter s needs the sums
+(seed + s * GOLDEN) + (i+1) * GOLDEN mod 2^64, so one counter-step array
+(i+1) * GOLDEN is built per call and each chunk adds its offset to it and
+mixes the result in place, in two buffers that every chunk reuses.  The
+bucket index is read from the top b bits of z, which are the top b bits of
+m_k; only the shots in a split bucket are shifted to m_k and searched.
 
 Bootstrap resampling quantifies the statistical uncertainty of the witness
 scalars; the minimal eigenvalue is not a smooth statistic, so the
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,6 +76,7 @@ from .witnesses import (
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_MASK = (1 << 64) - 1
 _MAX_SHOTS = 100_000_000
 # Shots per chunk: bounds the draw's memory (512 KiB per array); 2^16 measured
 # fastest against 2^12..2^20 and an unchunked draw.
@@ -80,18 +87,23 @@ _DRAW_BITS = 53
 DEFAULT_RESAMPLES = 200
 
 
+def _mix(z: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64's output rounds on the counter sums ``z``, in place.
+
+    ``tmp`` is a scratch array of z's shape, so that no round allocates.
+    """
+    for shift, multiplier in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
+        z *= np.uint64(multiplier)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+
+
 def splitmix64(seed: int, count: int, start: int = 0) -> np.ndarray:
     """SplitMix64 outputs ``start`` .. ``start + count - 1`` for ``seed``."""
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    # In place, so that a chunk's draw holds one temporary beside z.
-    with np.errstate(over="ignore"):
-        z *= np.uint64(_GOLDEN)
-        z += np.uint64(seed & (2 ** 64 - 1))
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK)
+    _mix(z, np.empty_like(z))
     return z
 
 
@@ -108,9 +120,6 @@ class SampleRun:
     shots: int
     source: CountDistribution
     counts: tuple[int, ...]
-
-    def histogram(self) -> dict:
-        return dict(zip(self.source.outcomes, self.counts))
 
     def empirical(self) -> CountDistribution:
         probs = tuple(c / self.shots for c in self.counts)
@@ -141,6 +150,9 @@ def sample(dist: CountDistribution, shots: int, seed: int) -> SampleRun:
         raise ValueError("shots must be >= 1")
     if shots > _MAX_SHOTS:
         raise ValueError(f"shots capped at {_MAX_SHOTS}")
+    # A Python int (numpy integers too), so that the chunk offsets and
+    # derive_seed wrap mod 2^64 exactly.
+    seed = operator.index(seed)
     total = dist.total()
     if not abs(total - 1.0) <= 1e-10:
         raise ValueError(f"distribution sums to {total}; normalize before sampling")
@@ -157,14 +169,25 @@ def sample(dist: CountDistribution, shots: int, seed: int) -> SampleRun:
     split[inside >> shift] = True
     buckets = np.zeros(1 << bits, dtype=np.int64)
     counts = np.zeros(size, dtype=np.int64)
+    # Counter k's sum (seed + (k+1) GOLDEN) mod 2^64 is the chunk's offset
+    # plus steps[k - start]; z and tmp are reused by every chunk.
+    steps = np.arange(1, min(_CHUNK, shots) + 1, dtype=np.uint64)
+    steps *= np.uint64(_GOLDEN)
+    z = np.empty_like(steps)
+    tmp = np.empty_like(steps)
+    top = np.uint64(64 - bits)
     for start in range(0, shots, _CHUNK):
-        draws = splitmix64(seed, min(_CHUNK, shots - start), start) >> np.uint64(11)
-        draws = draws.view(np.int64)
-        bucket = draws >> shift
+        k = min(_CHUNK, shots - start)
+        zk, tk = z[:k], tmp[:k]
+        np.add(steps[:k], np.uint64((seed + start * _GOLDEN) & _MASK), out=zk)
+        _mix(zk, tk)
+        # The top bits of z are the top bits of m = z >> 11.
+        bucket = np.right_shift(zk, top, out=tk).view(np.int64)
         buckets += np.bincount(bucket, minlength=1 << bits)
-        straddling = draws[split[bucket]]
+        straddling = zk[split[bucket]]
         if straddling.size:
-            part = np.bincount(_locate(thresholds, straddling))
+            draws = (straddling >> np.uint64(64 - _DRAW_BITS)).view(np.int64)
+            part = np.bincount(_locate(thresholds, draws))
             counts[:part.size] += part
     # Every other drawn bucket goes whole to the outcome of its lowest draw.
     whole = np.flatnonzero((buckets > 0) & ~split)
@@ -329,12 +352,3 @@ def read_histogram(path) -> tuple[tuple, tuple[int, ...]]:
             counts.append(int(row[1]))
     return tuple(outcomes), tuple(counts)
 
-
-def histogram_distribution(outcomes, counts, kind: str,
-                           cfg: DetectorConfig | None = None) -> CountDistribution:
-    """Empirical distribution from lab-style histogram data."""
-    total = sum(counts)
-    if total < 1:
-        raise ValueError("histogram is empty")
-    probs = tuple(c / total for c in counts)
-    return CountDistribution(kind, tuple(outcomes), probs, cfg)

@@ -319,7 +319,12 @@ def make_cat(alpha, parity: str, modes: int | None = None) -> CoherentSuperposit
 
 def cat_weight(pumped: float, sign: float) -> float:
     """Weight w of |alpha> in w (|alpha> + sign |-alpha>), sum_m |alpha_m|^2 = pumped."""
-    return 1.0 / math.sqrt(2.0 * (1.0 + sign * math.exp(-2.0 * pumped)))
+    if sign > 0:
+        norm = 1.0 + math.exp(-2.0 * pumped)
+    else:
+        # 1 - exp(-2 pumped) without the cancellation at small amplitude
+        norm = -math.expm1(-2.0 * pumped)
+    return 1.0 / math.sqrt(2.0 * norm)
 
 
 # --------------------------------------------------------------------------

@@ -12,10 +12,10 @@ package evaluates every redraw of a bootstrap in one array pass.  The
 sampler oracle draws every shot as a float uniform and binary-searches it in
 the float CDF; the package compares integer draws with integer thresholds
 through a bucket histogram.  It reuses the package's SplitMix64, which the
-sampler tests check against a pure-Python reference.  The distribution
-check and the CSV writer at the end take one probability and one row at a
-time; the package checks a whole distribution as an array and formats the
-cells that a CSV block shares once.
+sampler tests check against the pure-Python ``scalar_splitmix`` here.  The
+distribution check and the CSV writer at the end take one probability and
+one row at a time; the package checks a whole distribution as an array and
+formats the cells that a CSV block shares once.
 """
 
 import cmath
@@ -356,6 +356,18 @@ def loop_empirical_witness(run, iset, resamples, kind):
 # the sampler's draw, one float uniform and one CDF search per shot
 
 
+def scalar_splitmix(seed, count, start=0):
+    """Pure-Python SplitMix64 reference, independent of the vectorized path."""
+    mask = (1 << 64) - 1
+    out = []
+    for k in range(start + 1, start + count + 1):
+        z = (seed + k * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
 def uniform01(seed, count, start=0):
     """``count`` doubles in [0, 1) from SplitMix64 outputs ``start`` on."""
     from clickwitness.sampler import splitmix64
@@ -370,6 +382,17 @@ def single_pass_counts(dist, shots, seed):
     idx = np.searchsorted(cdf, uniform01(seed, shots), side="right")
     idx = np.minimum(idx, len(dist.probs) - 1)
     return tuple(int(c) for c in np.bincount(idx, minlength=len(dist.probs)))
+
+
+def histogram_distribution(outcomes, counts, kind, cfg=None):
+    """Empirical distribution from lab-style histogram data."""
+    from clickwitness.detectors import CountDistribution
+
+    total = sum(counts)
+    if total < 1:
+        raise ValueError("histogram is empty")
+    probs = tuple(c / total for c in counts)
+    return CountDistribution(kind, tuple(outcomes), probs, cfg)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -259,6 +260,21 @@ class TestMainEntry:
             "witness", "--state", "cat", "--parity", "odd", "--alpha2", "0.0",
             "--model", "onoff", "--bins", "5",
         ]) == 2
+
+    def test_odd_cat_at_tiny_amplitude_has_no_traceback(self, tmp_path, capsys):
+        # 1 - exp(-2|alpha|^2) rounds to 0 here unless the weight uses expm1.
+        code = main([
+            "sweep", "--state", "cat", "--parity", "odd", "--model", "onoff",
+            "--bins", "5", "--start", "1e-17", "--stop", "1e-16", "--points", "2",
+            "--outdir", str(tmp_path),
+        ])
+        if code == 0:
+            for path in tmp_path.glob("*.csv"):
+                for row in csv.DictReader(path.read_text().splitlines()):
+                    assert math.isfinite(float(row["value"]))
+        else:
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("flags, label, dim", [
         (["--model", "onoff", "--bins", "32"], "integer", 17),

@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import single_pass_counts, uniform01
+from oracles import (
+    histogram_distribution,
+    scalar_splitmix,
+    single_pass_counts,
+    uniform01,
+)
 from clickwitness.detectors import (
     CountDistribution,
     DetectorConfig,
@@ -21,7 +26,6 @@ from clickwitness.detectors import (
 from clickwitness.sampler import (
     _CHUNK as CHUNK,
     empirical_witness,
-    histogram_distribution,
     read_histogram,
     sample,
     splitmix64,
@@ -39,18 +43,6 @@ from clickwitness.witnesses import (
 ONOFF5 = DetectorConfig.onoff(5, 0.5)
 
 
-def scalar_splitmix(seed, count, start=0):
-    """Pure-Python SplitMix64 reference, independent of the vectorized path."""
-    mask = (1 << 64) - 1
-    out = []
-    for k in range(start + 1, start + count + 1):
-        z = (seed + k * 0x9E3779B97F4A7C15) & mask
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        out.append(z ^ (z >> 31))
-    return out
-
-
 class TestGenerator:
     def test_matches_scalar_reference(self):
         for seed in (0, 1, 42, 2 ** 63 + 11):
@@ -60,6 +52,12 @@ class TestGenerator:
     @pytest.mark.parametrize("start", [0, 1, 2 ** 16 - 3])
     def test_offset_matches_scalar_reference(self, start):
         for seed in (0, 42, 2 ** 63 + 11):
+            got = splitmix64(seed, 10, start).tolist()
+            assert got == scalar_splitmix(seed, 10, start)
+
+    @pytest.mark.parametrize("seed", [2 ** 64 - 1, -5])
+    def test_wrapping_seeds_match_scalar_reference(self, seed):
+        for start in (0, 3 * CHUNK):
             got = splitmix64(seed, 10, start).tolist()
             assert got == scalar_splitmix(seed, 10, start)
 
@@ -80,6 +78,27 @@ class TestSample:
             dist = pnr_distribution(state, DetectorConfig.pnr(4, 2, 0.5))
         run = sample(dist, shots, seed=19)
         assert run.counts == single_pass_counts(dist, shots, 19)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 63 + 11, 2 ** 64 - 1, -5])
+    @pytest.mark.parametrize("shots", [CHUNK + 1, 3 * CHUNK + 7])
+    @pytest.mark.parametrize("model", ["onoff", "pnr"])
+    def test_chunk_offsets_wrap_like_splitmix(self, model, shots, seed):
+        # Each chunk adds (seed + start * GOLDEN) mod 2^64 to one shared
+        # counter-step array; the oracle draws every counter through splitmix64.
+        state = make_cat(1.0, "odd")
+        if model == "onoff":
+            dist = click_distribution(state, ONOFF5)
+        else:
+            dist = pnr_distribution(state, DetectorConfig.pnr(4, 2, 0.5))
+        assert sample(dist, shots, seed).counts == single_pass_counts(dist, shots, seed)
+
+    @pytest.mark.parametrize("seed", [np.uint64(2 ** 64 - 1), np.int64(-5)])
+    def test_numpy_integer_seed(self, seed):
+        dist = click_distribution(make_cat(1.0, "odd"), ONOFF5)
+        run = sample(dist, CHUNK + 1, seed)
+        assert run.counts == sample(dist, CHUNK + 1, int(seed)).counts
+        assert type(run.seed) is int
+        empirical_witness(run, ONOFF5, enumerate_index_sets(ONOFF5)[0], resamples=2)
 
     def test_memory_bounded_at_shot_cap(self):
         # A fresh process, so that its peak RSS is the draw at the shot cap

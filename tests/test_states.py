@@ -96,6 +96,15 @@ class TestMakeCat:
         assert cat.weights[0].real == pytest.approx(expected, rel=1e-14)
         assert cat.weights[1].real == pytest.approx(-expected, rel=1e-14)
 
+    @pytest.mark.parametrize("pumped", [1e-2, 1e-8, 1e-12, 1e-17])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_cat_weight_matches_50_digit_reference(self, pumped, sign):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            x = mpmath.mpf(pumped)
+            exact = 1 / mpmath.sqrt(2 * (1 + sign * mpmath.exp(-2 * x)))
+        assert cat_weight(pumped, sign) == pytest.approx(float(exact), rel=1e-14)
+
     def test_two_mode_cat_is_normalized(self):
         # construction succeeds only if the overlap-weighted norm is 1
         cat = make_cat((1.0, 1.0), "even")
