@@ -498,7 +498,8 @@ def main(argv=None) -> int:
         args.kind = ["counts"]
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: entries beyond float range at large amplitudes.
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
     except OSError as exc:

@@ -28,20 +28,26 @@ grow with the shot count, and the histogram is bit-identical to a single
 pass over all shots.  A chunk starting at counter s needs the sums
 (seed + s * GOLDEN) + (i+1) * GOLDEN mod 2^64, so one counter-step array
 (i+1) * GOLDEN is built per call and each chunk adds its offset to it and
-mixes the result in place, in two buffers that every chunk reuses.  The
-bucket index is read from the top b bits of z, which are the top b bits of
-m_k; only the shots in a split bucket are shifted to m_k and searched.
+mixes the result in place, in two buffers that every chunk reuses.  Only
+the first two rounds run on every shot: the last round z ^= z >> 31 leaves
+the top 31 bits of z alone, and the top b <= 18 bits of z are the top b
+bits of m_k, so the bucket index is read before it.  Only the shots in a
+split bucket finish the last round and are shifted to m_k and searched.
 
 Bootstrap resampling quantifies the statistical uncertainty of the witness
 scalars; the minimal eigenvalue is not a smooth statistic, so the
 assumption-light bootstrap is preferred over jackknife-style error
 propagation.  The redraws are one ``Generator.multinomial(shots,
 frequencies, size=resamples)`` call from a generator seeded by
-:func:`derive_seed`, the same stream as ``resamples`` single redraws, and
-are evaluated in one array pass: an (R, outcomes) probability array gives
-an (R, d, d) stack of matrices, one eigensolver call and one determinant
-call per minor order.  numpy does not promise the multinomial stream
-across versions; a golden-value test pins it.
+:func:`derive_seed`, the same stream as ``resamples`` single redraws.  The
+point estimate is stacked as row 0 above the redraws and all are evaluated
+in one array pass: a (1+R, outcomes) probability array gives a (1+R, d, d)
+stack of matrices, one eigensolver call and one determinant call per minor
+order, with the same bits per row as a matrix built alone.  The standard
+errors of min_eig and of every minor come from one ``np.std`` over the
+rows of a C-contiguous (1+d, R) array, which sums each row pairwise like a
+1-D ``np.std``.  numpy does not promise the multinomial stream across
+versions; a golden-value test pins it.
 """
 
 from __future__ import annotations
@@ -66,11 +72,15 @@ from .witnesses import (
     IndexSet,
     WitnessReport,
     check_admissible,
-    count_matrix_from_counts,
+    # Unused here since empirical_witness builds its report from the
+    # bootstrap stack; bench/tracing.py still looks both names up in this
+    # module.
+    count_matrix_from_counts,  # noqa: F401
+    counts_report,
     from_counts_entries,
     klyshko_ratio,
     klyshko_value,
-    moment_matrix_from_counts,
+    moment_matrix_from_counts,  # noqa: F401
 )
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -87,14 +97,21 @@ _DRAW_BITS = 53
 DEFAULT_RESAMPLES = 200
 
 
-def _mix(z: np.ndarray, tmp: np.ndarray) -> None:
-    """SplitMix64's output rounds on the counter sums ``z``, in place.
+def _mix_rounds(z: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64's two multiply rounds on the counter sums ``z``, in place.
 
-    ``tmp`` is a scratch array of z's shape, so that no round allocates.
+    The final round ``z ^= z >> 31`` leaves the top 31 bits alone, so these
+    are already the top 31 bits of the output.  ``tmp`` is a scratch array
+    of z's shape, so that no round allocates.
     """
     for shift, multiplier in ((30, _MIX1), (27, _MIX2)):
         z ^= np.right_shift(z, np.uint64(shift), out=tmp)
         z *= np.uint64(multiplier)
+
+
+def _mix(z: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64's output rounds on the counter sums ``z``, in place."""
+    _mix_rounds(z, tmp)
     z ^= np.right_shift(z, np.uint64(31), out=tmp)
 
 
@@ -102,14 +119,15 @@ def splitmix64(seed: int, count: int, start: int = 0) -> np.ndarray:
     """SplitMix64 outputs ``start`` .. ``start + count - 1`` for ``seed``."""
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
-    z += np.uint64(seed & _MASK)
+    # As a Python int, so that a numpy integer seed is masked without overflow.
+    z += np.uint64(operator.index(seed) & _MASK)
     _mix(z, np.empty_like(z))
     return z
 
 
 def derive_seed(seed: int, stream: int = 1) -> int:
     """Decorrelated child seed for auxiliary streams (e.g. the bootstrap)."""
-    return int(splitmix64(seed ^ (0xA5A5A5A5A5A5A5A5 * stream), 1)[0])
+    return int(splitmix64(operator.index(seed) ^ (0xA5A5A5A5A5A5A5A5 * stream), 1)[0])
 
 
 @dataclass(frozen=True)
@@ -180,12 +198,14 @@ def sample(dist: CountDistribution, shots: int, seed: int) -> SampleRun:
         k = min(_CHUNK, shots - start)
         zk, tk = z[:k], tmp[:k]
         np.add(steps[:k], np.uint64((seed + start * _GOLDEN) & _MASK), out=zk)
-        _mix(zk, tk)
-        # The top bits of z are the top bits of m = z >> 11.
+        _mix_rounds(zk, tk)
+        # The top b <= 18 bits of m = z >> 11 are the top bits of z, which
+        # the final round leaves alone; only straddling shots need it.
         bucket = np.right_shift(zk, top, out=tk).view(np.int64)
         buckets += np.bincount(bucket, minlength=1 << bits)
         straddling = zk[split[bucket]]
         if straddling.size:
+            straddling ^= straddling >> np.uint64(31)
             draws = (straddling >> np.uint64(64 - _DRAW_BITS)).view(np.int64)
             part = np.bincount(_locate(thresholds, draws))
             counts[:part.size] += part
@@ -275,26 +295,28 @@ def empirical_witness(run: SampleRun, cfg: DetectorConfig, iset: IndexSet,
     if resamples < 2:
         raise ValueError("need at least 2 bootstrap resamples")
     check_admissible(iset, cfg, kind)
-    builder = count_matrix_from_counts if kind == "counts" else moment_matrix_from_counts
     empirical = run.empirical()
-    report = builder(empirical, iset)
+    rng = np.random.Generator(np.random.PCG64(derive_seed(run.seed)))
+    weights = np.array(run.counts, dtype=float) / run.shots
+    probs = rng.multinomial(run.shots, weights, size=resamples) / run.shots
+    # Row 0 is the point estimate, rows 1.. the redraws.
+    entries = from_counts_entries(empirical, np.vstack([weights, probs]), iset, kind)
+    min_eigs = min_eigenvalues(entries)
+    minors = leading_minors_stack(entries)
+    report = counts_report(empirical, iset, kind, entries[0], (min_eigs[0], minors[0]))
     values = _matrix_scalars(report)
     if empirical.kind == "click" and empirical.config.bins >= 3:
         values.update(_klyshko_scalars(empirical))
 
-    rng = np.random.Generator(np.random.PCG64(derive_seed(run.seed)))
-    weights = np.array(run.counts, dtype=float) / run.shots
-    probs = rng.multinomial(run.shots, weights, size=resamples) / run.shots
-    entries = from_counts_entries(empirical, probs, iset, kind)
-    boot = {"min_eig": min_eigenvalues(entries)}
-    for order, minors in enumerate(leading_minors_stack(entries).T, start=1):
-        boot[f"minor_{order}"] = minors
-    boot.update(_klyshko_redraws(
+    # The redraws' min_eig and minors as the rows of a C-contiguous array
+    # (copy() is C order), whose rows np.std sums pairwise like 1-D arrays;
+    # values lists min_eig and the minors first, in the same order.
+    spectral = np.column_stack([min_eigs, minors])[1:].T.copy()
+    stderrs = dict(zip(values, np.std(spectral, axis=-1, ddof=1).tolist()))
+    redraws = _klyshko_redraws(
         empirical, probs, [key for key in values if key.startswith("klyshko_")]
-    ))
-
-    stderrs = {}
-    for key, series in boot.items():
+    )
+    for key, series in redraws.items():
         if len(series) >= 2:
             stderrs[key] = float(np.std(np.array(series), ddof=1))
         else:

@@ -251,12 +251,17 @@ class WitnessReport:
         return NONCLASSICAL if self.nonclassical else NO_VIOLATION
 
 
-def _report(matrix: SymMatrix, labels, source: str, metadata: dict) -> WitnessReport:
+def _report(matrix: SymMatrix, labels, source: str, metadata: dict,
+            spectrum=None) -> WitnessReport:
+    """Report on ``matrix``; ``spectrum`` is its (min_eig, minors) if known."""
+    if spectrum is None:
+        spectrum = min_eigenvalue(matrix), leading_minors(matrix)
+    min_eig, minors = spectrum
     return WitnessReport(
         matrix=matrix,
         labels=tuple(labels),
-        min_eig=min_eigenvalue(matrix),
-        minors=tuple(leading_minors(matrix)),
+        min_eig=float(min_eig),
+        minors=tuple(float(minor) for minor in minors),
         source=source,
         metadata=metadata,
     )
@@ -466,50 +471,67 @@ def from_counts_entries(counts: CountDistribution, probs: np.ndarray,
                         iset: IndexSet, kind: str) -> np.ndarray:
     """``kind`` witness matrices of measured statistics, one per row of ``probs``.
 
-    ``probs`` (..., outcomes) holds probabilities over the outcome space of
-    ``counts``, for example the redraws of a bootstrap.  Each distinct pair
-    sum is evaluated once for all rows, as a sum over outcomes in outcome
-    order followed by one division, which gives every row the same bits as
-    the per-entry sums over a single distribution.  Returns (..., d, d).
+    ``probs`` (..., outcomes) holds finite probabilities over the outcome
+    space of ``counts``, for example the redraws of a bootstrap.  Each
+    distinct pair sum is evaluated once for all rows, as a sum of its
+    nonzero weighted terms in outcome order followed by one division; the
+    j-th term of every pair sum is added in one step, so a counts matrix,
+    whose entries weigh one outcome each, takes a single step.  Every weight
+    is >= 0, so a skipped term is +-0.0, and adding it never changes a sum
+    that starts at +0.0: every row has the same bits as the per-entry sums
+    over all outcomes of a single distribution.  Returns (..., d, d).
     """
     cfg = counts.config
     check_admissible(iset, cfg, kind)
     if counts.kind not in ("photo", "click", "pnr"):
         raise ValueError(f"unsupported distribution kind {counts.kind!r}")
+    if not np.isfinite(probs).all():
+        raise ValueError("from-counts probabilities must be finite")
     pair_sum = _pair_sum_multi if counts.kind == "pnr" else _pair_sum_scalar
     quantities = _pair_quantities(iset, pair_sum)
     sums = list(dict.fromkeys(quantities.values()))
     index = {outcome: k for k, outcome in enumerate(counts.outcomes)}
     weights, divisors = zip(*(_outcome_weights(counts, kind, s, index) for s in sums))
     weights = np.array(weights)
+    # Per pair sum, the outcomes of nonzero weight first, in outcome order;
+    # the zero weights that pad the shorter sums add +-0.0.
+    nonzero = weights != 0.0
+    columns = np.argsort(~nonzero, axis=1, kind="stable")[:, :nonzero.sum(axis=1).max()]
+    terms = np.take_along_axis(weights, columns, axis=1)
     acc = np.zeros(probs.shape[:-1] + (len(sums),))
-    # One outcome at a time: a matmul or a sum over an axis would reorder
-    # the additions and change the last bits.
-    for k in range(len(counts.outcomes)):
-        acc += probs[..., k, None] * weights[:, k]
+    # A matmul or a sum over an axis would reorder the additions and change
+    # the last bits.
+    for j in range(columns.shape[1]):
+        acc += probs[..., columns[:, j]] * terms[:, j]
     values = acc / np.array(divisors)
     return _fill(len(iset.elements), quantities,
                  dict(zip(sums, np.moveaxis(values, -1, 0))))
 
 
-def _counts_report(counts: CountDistribution, iset: IndexSet,
-                   kind: str) -> WitnessReport:
-    entries = from_counts_entries(counts, np.array(counts.probs), iset, kind)
+def counts_report(counts: CountDistribution, iset: IndexSet, kind: str,
+                  entries: np.ndarray | None = None, spectrum=None) -> WitnessReport:
+    """Report on the ``kind`` matrix of ``counts``.
+
+    ``entries`` is the matrix when a stack call built it, and ``spectrum``
+    its (min_eig, minors) when a stack call computed them.
+    """
+    if entries is None:
+        entries = from_counts_entries(counts, np.array(counts.probs), iset, kind)
     meta = {"config": counts.config, "set": iset.label, "empirical": True}
     return _report(SymMatrix(entries), iset.elements,
-                   f"{kind}:{counts.config.model}", meta)
+                   f"{kind}:{counts.config.model}", meta, spectrum)
 
 
 def count_matrix_from_counts(counts: CountDistribution,
                              iset: IndexSet) -> WitnessReport:
     """Counting matrix assembled from measured (or sampled) statistics."""
-    return _counts_report(counts, iset, "counts")
+    return counts_report(counts, iset, "counts")
 
 
 def moment_matrix_from_counts(counts: CountDistribution,
                               iset: IndexSet) -> WitnessReport:
     """Moment matrix assembled from measured (or sampled) statistics."""
-    return _counts_report(counts, iset, "moments")
+    return counts_report(counts, iset, "moments")
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,9 @@ with Python complex arithmetic; the package evaluates whole grids as arrays.
 The from-counts builders and the bootstrap at the end assemble one entry and
 one redraw at a time, with per-matrix eigenvalue and determinant calls; the
 package evaluates every redraw of a bootstrap in one array pass.  The
+outcome-by-outcome from-counts sum shares the package's outcome weights
+but adds every outcome's term, zero weights included; the package adds
+only the nonzero terms, one step for the j-th term of every pair sum.  The
 sampler oracle draws every shot as a float uniform and binary-searches it in
 the float CDF; the package compares integer draws with integer thresholds
 through a bucket histogram.  It reuses the package's SplitMix64, which the
@@ -290,6 +293,30 @@ def loop_moment_matrix_from_counts(counts, iset):
         return moment(counts, _pair_sum(labels[i], labels[j]))
 
     return _loop_report(entry, labels, f"moments:{counts.config.model}")
+
+
+def loop_from_counts_entries(counts, probs, iset, kind):
+    """``from_counts_entries`` with one step per outcome, zero weights included."""
+    from clickwitness.witnesses import (
+        _fill,
+        _outcome_weights,
+        _pair_quantities,
+        _pair_sum_multi,
+        _pair_sum_scalar,
+    )
+
+    pair_sum = _pair_sum_multi if counts.kind == "pnr" else _pair_sum_scalar
+    quantities = _pair_quantities(iset, pair_sum)
+    sums = list(dict.fromkeys(quantities.values()))
+    index = {outcome: k for k, outcome in enumerate(counts.outcomes)}
+    weights, divisors = zip(*(_outcome_weights(counts, kind, s, index) for s in sums))
+    weights = np.array(weights)
+    acc = np.zeros(probs.shape[:-1] + (len(sums),))
+    for k in range(len(counts.outcomes)):
+        acc += probs[..., k, None] * weights[:, k]
+    values = acc / np.array(divisors)
+    return _fill(len(iset.elements), quantities,
+                 dict(zip(sums, np.moveaxis(values, -1, 0))))
 
 
 def _loop_klyshko(counts):

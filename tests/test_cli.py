@@ -276,6 +276,18 @@ class TestMainEntry:
             assert code == 2
             assert capsys.readouterr().err.startswith("error: ")
 
+    def test_overflow_at_large_amplitude_exits_2(self, tmp_path, capsys):
+        # exp(|alpha|^2 eta / N) overflows in the pair sums (ROADMAP item 2).
+        code = main([
+            "sweep", "--state", "cat", "--parity", "odd", "--model", "onoff",
+            "--bins", "1", "--efficiency", "1", "--start", "800", "--stop", "900",
+            "--points", "2", "--outdir", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("flags, label, dim", [
         (["--model", "onoff", "--bins", "32"], "integer", 17),
         (["--model", "pnr", "--bins", "6", "--levels", "3"], "int-int-int-int", 20),

@@ -25,6 +25,9 @@ from clickwitness.detectors import (
 )
 from clickwitness.sampler import (
     _CHUNK as CHUNK,
+    _GOLDEN as GOLDEN,
+    _mix_rounds,
+    derive_seed,
     empirical_witness,
     read_histogram,
     sample,
@@ -37,7 +40,9 @@ from clickwitness.witnesses import (
     NONCLASSICAL,
     NO_VIOLATION,
     count_matrix,
+    count_matrix_from_counts,
     enumerate_index_sets,
+    moment_matrix_from_counts,
 )
 
 ONOFF5 = DetectorConfig.onoff(5, 0.5)
@@ -60,6 +65,28 @@ class TestGenerator:
         for start in (0, 3 * CHUNK):
             got = splitmix64(seed, 10, start).tolist()
             assert got == scalar_splitmix(seed, 10, start)
+
+    @pytest.mark.parametrize("seed", [
+        np.int64(3), np.int64(-5), np.uint64(2 ** 64 - 1), -5, 2 ** 64 - 1,
+    ])
+    def test_numpy_and_wrapping_seeds(self, seed):
+        assert splitmix64(seed, 10, 7).tolist() == scalar_splitmix(int(seed), 10, 7)
+        child = scalar_splitmix(int(seed) ^ 0xA5A5A5A5A5A5A5A5, 1)[0]
+        assert derive_seed(seed) == child == derive_seed(int(seed))
+        assert type(derive_seed(seed)) is int
+
+    def test_two_rounds_fix_the_top_31_bits(self):
+        # sample reads its bucket indices before the last round z ^= z >> 31.
+        rng = np.random.default_rng(16)
+        sums = [int(v) for v in rng.integers(0, 2 ** 63, 2000, dtype=np.uint64)]
+        sums += [int(v) << 1 | 1 for v in rng.integers(0, 2 ** 63, 2000, dtype=np.uint64)]
+        sums += [0, 1, 2 ** 31 - 1, 2 ** 31, 2 ** 33 - 1, 2 ** 33, 2 ** 63 - 1,
+                 2 ** 63, 2 ** 64 - 2 ** 33, 2 ** 64 - 1]
+        z = np.array(sums, dtype=np.uint64)
+        _mix_rounds(z, np.empty_like(z))
+        # Seed z - GOLDEN gives counter sum z for the first output.
+        full = [scalar_splitmix((v - GOLDEN) % 2 ** 64, 1)[0] for v in sums]
+        assert (z >> np.uint64(33)).tolist() == [v >> 33 for v in full]
 
     def test_uniforms_in_unit_interval(self):
         u = uniform01(7, 10_000)
@@ -358,6 +385,25 @@ class TestBatchedBootstrap:
             for kind in ("counts", "moments"):
                 resolved = assert_matches_loop(run, ONOFF5, iset, resamples, kind)
                 assert resolved["klyshko_half"] == half_resolved
+
+    @pytest.mark.parametrize("case", sorted(BOOTSTRAP_CASES))
+    def test_report_equals_the_from_counts_matrix(self, case):
+        # The point estimate is row 0 of the bootstrap stack.
+        cfg, distribution = BOOTSTRAP_CASES[case]
+        run = sample(distribution(make_cat(1.0, "odd"), cfg), 100_000, seed=8)
+        matrix_of = {"counts": count_matrix_from_counts,
+                     "moments": moment_matrix_from_counts}
+        for iset in enumerate_index_sets(cfg):
+            if not iset.elements:
+                continue
+            for kind, from_counts in matrix_of.items():
+                got = empirical_witness(run, cfg, iset, resamples=3, kind=kind).report
+                want = from_counts(run.empirical(), iset)
+                assert np.array_equal(got.matrix.entries, want.matrix.entries)
+                assert type(got.min_eig) is float
+                assert all(type(minor) is float for minor in got.minors)
+                assert (got.labels, got.min_eig, got.minors, got.source, got.metadata) \
+                    == (want.labels, want.min_eig, want.minors, want.source, want.metadata)
 
     def test_unknown_kind_rejected(self):
         run = sample(click_distribution(make_cat(1.0, "odd"), ONOFF5), 1000, seed=1)

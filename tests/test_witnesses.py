@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickwitness.detectors import (
     DetectorConfig,
@@ -24,6 +26,7 @@ from clickwitness.witnesses import (
     count_matrix_from_counts,
     enumerate_index_sets,
     enumerate_pnr_moment_sets,
+    from_counts_entries,
     g_functions,
     g_matrix,
     klyshko_ratio,
@@ -35,6 +38,7 @@ from clickwitness.witnesses import (
 )
 from helpers import random_cat, random_coherent, random_coherent_mixture
 from oracles import _pair_sum as half_int_pair_sum
+from oracles import loop_from_counts_entries
 
 HALF_SET = IndexSet(("1/2", "3/2"), "half")
 INT_SET_12 = IndexSet((1, 2), "integer")
@@ -143,6 +147,68 @@ class TestPairSums:
             with pytest.raises(ValueError) as got_exc:
                 got()
             assert str(got_exc.value) == str(want_exc.value)
+
+
+FROM_COUNTS_CASES = {
+    "photo": (DetectorConfig.photoelectric(0.5),
+              lambda cfg: photo_distribution(coherent_state(1.0), cfg, n_max=12)),
+    "onoff5": (DetectorConfig.onoff(5, 0.5),
+               lambda cfg: click_distribution(coherent_state(1.0), cfg)),
+    "onoff8": (DetectorConfig.onoff(8, 0.5),
+               lambda cfg: click_distribution(coherent_state(1.0), cfg)),
+    "pnr4_2": (DetectorConfig.pnr(4, 2, 0.5),
+               lambda cfg: pnr_distribution(coherent_state(1.0), cfg)),
+    "pnr5_3": (DetectorConfig.pnr(5, 3, 0.5),
+               lambda cfg: pnr_distribution(coherent_state(1.0), cfg)),
+}
+
+# Zeros of both signs and tiny negatives, which clipping lets through.
+PROB_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-300, -1e-16, 1.0]),
+    st.floats(0.0, 1.0),
+    st.floats(-1e-15, 0.0),
+)
+
+
+@st.composite
+def from_counts_cases(draw):
+    """(counts, probs, iset, kind) over every model and kind."""
+    cfg, distribution = FROM_COUNTS_CASES[draw(st.sampled_from(sorted(FROM_COUNTS_CASES)))]
+    kind = draw(st.sampled_from(["counts", "moments"]))
+    sets = enumerate_index_sets(cfg)
+    if cfg.model == "pnr" and kind == "moments":
+        sets += enumerate_pnr_moment_sets(cfg)
+    iset = draw(st.sampled_from([s for s in sets if 0 < len(s.elements) <= 16]))
+    counts = distribution(cfg)
+    shape = draw(st.sampled_from([(), (1,), (3,), (2, 2)])) + (len(counts.outcomes),)
+    values = draw(st.lists(PROB_VALUES, min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    return counts, np.array(values).reshape(shape), iset, kind
+
+
+class TestFromCountsEntries:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(from_counts_cases())
+    def test_matches_the_outcome_loop(self, case):
+        counts, probs, iset, kind = case
+        got = from_counts_entries(counts, probs, iset, kind)
+        want = loop_from_counts_entries(counts, probs, iset, kind)
+        assert got.shape == probs.shape[:-1] + (len(iset.elements),) * 2
+        # array_equal treats -0.0 == 0.0; the signs must agree as well.
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    def test_non_finite_probs_rejected(self, bad, rows):
+        cfg = DetectorConfig.onoff(5, 0.5)
+        counts = click_distribution(coherent_state(1.0), cfg)
+        iset = enumerate_index_sets(cfg)[0]
+        probs = np.broadcast_to(np.array(counts.probs), rows + (6,)).copy()
+        # Outcome 5 weighs 0 in every entry of the integer counts matrix.
+        probs[..., 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            from_counts_entries(counts, probs, iset, "counts")
 
 
 class TestCountMatrix:
