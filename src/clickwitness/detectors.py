@@ -13,6 +13,11 @@ form of :func:`povm_product_value`, elementwise over a whole
 every distinct POVM product that a distribution or a witness matrix needs:
 the factors the products share (y, the tail series of pi_K, the powers
 y^j/j!) are computed once per call, not once per exponent tuple.
+
+Measured statistics take the other route: every from-counts quantity, the
+``*_moment_from_counts`` scalars and the entries of the from-counts witness
+matrices alike, is a weighted sum over outcomes with the weights of
+:func:`_outcome_weights`.
 """
 
 from __future__ import annotations
@@ -142,6 +147,46 @@ class CountDistribution:
         return sum(self.probs)
 
 
+def _outcome_weights(counts: CountDistribution, kind: str, s, index: dict | None):
+    """Outcome weights and divisor of the from-counts ``kind`` quantity of pair sum ``s``.
+
+    The quantity is sum_k w_k p_k / divisor over the outcomes of ``counts``,
+    with the Python int/float arithmetic of the per-quantity formulas.  For
+    counts these are p_s / C(N, s), p_s / multinom(N, s) and s! p_s;
+    ``index`` maps each outcome to its position, and an absent outcome has
+    weight 0, like the 0.0 of ``counts.prob``.  For moments they are the
+    identities of the ``*_moment_from_counts`` functions, which sum these
+    same weights.
+    """
+    if kind == "counts":
+        if counts.kind == "photo":
+            weight, divisor = float(math.factorial(s)), 1.0
+        elif counts.kind == "click":
+            weight, divisor = 1.0, float(binom(counts.config.bins, s))
+        else:
+            weight, divisor = 1.0, float(multinom(counts.config.bins, s))
+        weights = [0.0] * len(counts.outcomes)
+        if s in index:
+            weights[index[s]] = weight
+        return weights, divisor
+    if counts.kind == "photo":
+        return [float(falling_factorial(n, s)) for n in counts.outcomes], 1.0
+    if counts.kind == "click":
+        norm = binom(counts.config.bins, s)
+        return [binom(k, s) / norm if k >= s else 0.0 for k in counts.outcomes], 1.0
+    weights = [
+        float(math.prod(falling_factorial(n, e) for n, e in zip(outcome, s)))
+        for outcome in counts.outcomes
+    ]
+    return weights, float(falling_factorial(counts.config.bins, sum(s)))
+
+
+def _moment_from_counts(counts: CountDistribution, s) -> float:
+    """Moment of pair sum ``s``: its nonzero weighted terms in outcome order, divided once."""
+    weights, divisor = _outcome_weights(counts, "moments", s, None)
+    return sum(w * p for w, p in zip(weights, counts.probs) if w) / divisor
+
+
 # --------------------------------------------------------------------------
 # expression builders
 
@@ -149,20 +194,6 @@ class CountDistribution:
 def _photo_expr(n: int, rate: float, offset: float) -> NOExpr:
     # p_n = <: G^n / n! exp(-G) :>
     return NOExpr.monomial(1.0 / math.factorial(n), n, 1.0, rate, offset)
-
-
-def _click_expr(bins: int, k: int, rate: float, offset: float) -> NOExpr:
-    # c_k / C(N, k) = <: exp(-G)^(N-k) (1 - exp(-G))^k :>, expanded binomially
-    terms = tuple(
-        (binom(k, j) * (-1.0) ** j, 0, float(bins - k + j)) for j in range(k + 1)
-    )
-    return NOExpr(terms, rate, offset)
-
-
-def _click_moment_expr(m: int, rate: float, offset: float) -> NOExpr:
-    # <: pi^m :> with pi = 1 - exp(-G)
-    terms = tuple((binom(m, j) * (-1.0) ** j, 0, float(j)) for j in range(m + 1))
-    return NOExpr(terms, rate, offset)
 
 
 def _povm_exprs(levels: int, rate: float, offset: float) -> tuple[NOExpr, ...]:
@@ -346,26 +377,6 @@ def povm_product_value(state, cfg: DetectorConfig, exponents):
 
 
 # --------------------------------------------------------------------------
-# public expression accessors (shared with the witness-matrix assembly)
-
-
-def click_outcome_expression(cfg: DetectorConfig, k: int) -> NOExpr:
-    """Expression whose expectation is c_k / C(N, k)."""
-    return _click_expr(cfg.bins, k, cfg.gamma_rate, cfg.dark)
-
-
-def click_moment_expression(cfg: DetectorConfig, m: int) -> NOExpr:
-    """Expression whose expectation is <: pi^m :>."""
-    return _click_moment_expr(m, cfg.gamma_rate, cfg.dark)
-
-
-def povm_product_expression(cfg: DetectorConfig,
-                            exponents: tuple[int, ...]) -> NOExpr:
-    """Expression whose expectation is <: pi_0^{e_0} ... pi_K^{e_K} :>."""
-    return _povm_product_expr(cfg.levels, tuple(exponents), cfg.gamma_rate, cfg.dark)
-
-
-# --------------------------------------------------------------------------
 # photoelectric model
 
 
@@ -393,10 +404,7 @@ def factorial_moment_from_counts(counts: CountDistribution, m: int) -> float:
     """Same moment recovered from a photocount distribution as sum n!/(n-m)! p_n."""
     if counts.kind != "photo":
         raise ValueError("needs a photocount distribution")
-    m = _as_exponent(m)
-    return sum(
-        falling_factorial(n, m) * p for n, p in zip(counts.outcomes, counts.probs)
-    )
+    return _moment_from_counts(counts, _as_exponent(m))
 
 
 # --------------------------------------------------------------------------
@@ -434,12 +442,7 @@ def click_moment_from_counts(counts: CountDistribution, m: int) -> float:
     m = _as_exponent(m)
     if not 0 <= m <= bins:
         raise ValueError(f"moment order must satisfy 0 <= m <= N={bins}")
-    norm = binom(bins, m)
-    return sum(
-        binom(k, m) / norm * p
-        for k, p in zip(counts.outcomes, counts.probs)
-        if k >= m
-    )
+    return _moment_from_counts(counts, m)
 
 
 # --------------------------------------------------------------------------
@@ -507,14 +510,4 @@ def pnr_moment_from_counts(counts: CountDistribution,
     order = sum(exponents)
     if order > bins:
         raise ValueError(f"total order {order} exceeds N={bins}")
-    norm = falling_factorial(bins, order)
-    out = 0.0
-    for outcome, p in zip(counts.outcomes, counts.probs):
-        weight = 1
-        for n_j, e_j in zip(outcome, exponents):
-            weight *= falling_factorial(n_j, e_j)
-            if weight == 0:
-                break
-        if weight:
-            out += weight * p
-    return out / norm
+    return _moment_from_counts(counts, exponents)

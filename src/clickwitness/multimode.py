@@ -21,6 +21,8 @@ from .witnesses import (
     NONCLASSICAL,
     NO_VIOLATION,
     WitnessReport,
+    _fill,
+    _pair_quantities,
     _report,
 )
 
@@ -156,6 +158,7 @@ def multimode_matrices(state: StateSpec, elements, eta: float = 1.0,
 
     Entries are (k+l)! p_(k+l) for ``kind="counts"`` and <: n^(k+l) :> for
     ``kind="moments"``; the index set must carry one fixed class per mode.
+    Each distinct pair sum k+l is evaluated once.
     """
     if kind not in ("counts", "moments"):
         raise ValueError("kind must be 'counts' or 'moments'")
@@ -166,15 +169,13 @@ def multimode_matrices(state: StateSpec, elements, eta: float = 1.0,
         raise ValueError(
             f"state has {state.modes} modes, set has {elements[0].modes}"
         )
-
-    if kind == "moments":
-        def entry(i, j):
-            return joint_moment(state, elements[i] + elements[j], eta)
-    else:
-        def entry(i, j):
-            pair = elements[i] + elements[j]
-            return pair.factorial() * joint_counts(state, pair, eta)
-    matrix = SymMatrix.build(len(elements), entry)
+    quantities = _pair_quantities(elements, MultiIndex.__add__)
+    values = {
+        pair: joint_moment(state, pair, eta) if kind == "moments"
+        else pair.factorial() * joint_counts(state, pair, eta)
+        for pair in dict.fromkeys(quantities.values())
+    }
+    matrix = SymMatrix(_fill(len(elements), quantities, values))
     meta = {"state": state, "eta": eta, "elements": elements}
     return _report(matrix, elements, f"{kind}:multimode", meta)
 
@@ -186,17 +187,38 @@ class RatioResult:
     verdict: str
 
 
-def _classify(n: MultiIndex, m: MultiIndex) -> str:
-    """Case label from the exponent totals: (i)/(ii) integer totals with
+def _pair_case(n: MultiIndex, m: MultiIndex) -> tuple[MultiIndex, str]:
+    """The whole pair n + m and the case: (i)/(ii) integer totals with
     even/odd sum, (iii)/(iv) half-odd totals with even/odd sum."""
+    pair = n + m
+    if not pair.is_whole:
+        raise ValueError(f"{n} and {m} are not pairwise admissible")
     n_tot, m_tot = n.total(), m.total()
-    pair = n_tot + m_tot
-    if not pair.is_integer:
-        raise ValueError(f"totals {n_tot} and {m_tot} have mixed classes")
-    parity = pair.to_int() % 2
+    parity = (n_tot + m_tot).to_int() % 2
     if n_tot.is_integer:
-        return "i" if parity == 0 else "ii"
-    return "iii" if parity == 0 else "iv"
+        return pair, "i" if parity == 0 else "ii"
+    return pair, "iii" if parity == 0 else "iv"
+
+
+def _ratio_result(numer, denom, case: str, divergent: bool) -> RatioResult:
+    """numer / denom and its verdict, elementwise; 0-d inputs give scalars.
+
+    A vanishing denominator gives a NaN ratio and no verdict, except that
+    with ``divergent`` a nonzero numerator over it gives +inf, "divergent".
+    """
+    zero = np.equal(denom, 0.0)
+    ratio = np.where(zero, math.nan, numer / np.where(zero, 1.0, denom))
+    verdict = np.where(
+        zero, INDETERMINATE,
+        np.where(ratio > 1.0 + 1e-10, NONCLASSICAL, NO_VIOLATION),
+    )
+    if divergent:
+        infinite = zero & np.not_equal(numer, 0.0)
+        ratio = np.where(infinite, math.inf, ratio)
+        verdict = np.where(infinite, DIVERGENT, verdict)
+    if ratio.ndim == 0:
+        return RatioResult(float(ratio), case, str(verdict))
+    return RatioResult(ratio, case, verdict)
 
 
 def ratio_criterion(state: StateSpec, n: MultiIndex, m: MultiIndex,
@@ -210,21 +232,10 @@ def ratio_criterion(state: StateSpec, n: MultiIndex, m: MultiIndex,
     :class:`~.states.CoherentStack` the ratio and verdict are arrays with
     one entry per grid point.
     """
-    pair = n + m
-    if not pair.is_whole:
-        raise ValueError(f"{n} and {m} are not pairwise admissible")
-    case = _classify(n, m)
+    pair, case = _pair_case(n, m)
     numer = joint_moment(state, pair, eta) ** 2
     denom = joint_moment(state, n * 2, eta) * joint_moment(state, m * 2, eta)
-    zero = np.equal(denom, 0.0)
-    ratio = np.where(zero, math.nan, numer / np.where(zero, 1.0, denom))
-    verdict = np.where(
-        zero, INDETERMINATE,
-        np.where(ratio > 1.0 + 1e-10, NONCLASSICAL, NO_VIOLATION),
-    )
-    if ratio.ndim == 0:
-        return RatioResult(float(ratio), case, str(verdict))
-    return RatioResult(ratio, case, verdict)
+    return _ratio_result(numer, denom, case, divergent=False)
 
 
 def count_ratio_criterion(state: StateSpec, n: MultiIndex, m: MultiIndex,
@@ -234,20 +245,11 @@ def count_ratio_criterion(state: StateSpec, n: MultiIndex, m: MultiIndex,
     Values above one witness nonclassicality.  At unit efficiency the
     denominator can vanish identically for parity eigenstates; a vanishing
     denominator with a finite numerator is reported as divergent (formally
-    an infinite violation), and 0/0 as indeterminate.
+    an infinite violation), and 0/0 as indeterminate.  A
+    :class:`~.states.CoherentStack` gives arrays, as in :func:`ratio_criterion`.
     """
-    pair = n + m
-    if not pair.is_whole:
-        raise ValueError(f"{n} and {m} are not pairwise admissible")
-    case = _classify(n, m)
+    pair, case = _pair_case(n, m)
     numer = (pair.factorial() * joint_counts(state, pair, eta)) ** 2
     dn = (n * 2).factorial() * joint_counts(state, n * 2, eta)
     dm = (m * 2).factorial() * joint_counts(state, m * 2, eta)
-    denom = dn * dm
-    if denom == 0.0:
-        if numer == 0.0:
-            return RatioResult(math.nan, case, INDETERMINATE)
-        return RatioResult(math.inf, case, DIVERGENT)
-    ratio = numer / denom
-    verdict = NONCLASSICAL if ratio > 1.0 + 1e-10 else NO_VIOLATION
-    return RatioResult(ratio, case, verdict)
+    return _ratio_result(numer, dn * dm, case, divergent=True)

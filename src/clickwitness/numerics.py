@@ -159,6 +159,8 @@ class SymMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
 
+    # No caller in the package since witness matrices go through witnesses._fill;
+    # bench/tracing.py still hooks it here.
     @classmethod
     def build(cls, dim: int, entry_fn) -> "SymMatrix":
         """Construct from ``entry_fn(i, j)`` evaluated once per pair i <= j."""

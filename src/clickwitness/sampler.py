@@ -366,11 +366,16 @@ def read_histogram(path) -> tuple[tuple, tuple[int, ...]]:
     counts = []
     with open(Path(path), newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["outcome", "count"]:
             raise ValueError(f"unexpected histogram header {header}")
         for row in reader:
-            outcomes.append(_parse_outcome(row[0]))
-            counts.append(int(row[1]))
+            try:
+                outcome, count = row
+                outcomes.append(_parse_outcome(outcome))
+                counts.append(int(count))
+            except ValueError:
+                raise ValueError(f"histogram line {reader.line_num}: {row} is not "
+                                 "an outcome,count row") from None
     return tuple(outcomes), tuple(counts)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detectors import DetectorConfig
+from .numerics import HalfInt
 from .states import (
     CoherentStack,
     FockVector,
@@ -189,18 +190,33 @@ class Scenario:
 # strict JSON parsing
 
 
-def _take(raw: dict, context: str, known: dict) -> dict:
+def _take(raw, context: str, known: dict) -> dict:
+    """The converted ``known`` fields of ``raw``; ValueError names a bad field."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{context} must be a JSON object, got {json.dumps(raw)}")
     unknown = set(raw) - set(known)
     if unknown:
         raise ValueError(f"unknown {context} fields: {sorted(unknown)}")
     out = {}
     for key, convert in known.items():
         if key in raw and raw[key] is not None:
-            out[key] = convert(raw[key])
+            try:
+                out[key] = convert(raw[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{context} field {key!r}: {exc}") from None
     return out
 
 
+def _construct(cls, context: str, kwargs: dict):
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:  # a required field is missing
+        raise ValueError(f"{context}: {exc}") from None
+
+
 def _as_tuple(values):
+    if not isinstance(values, list):
+        raise ValueError(f"expected a JSON list, got {json.dumps(values)}")
     return tuple(values)
 
 
@@ -208,72 +224,59 @@ def _parse_sets(raw):
     if isinstance(raw, str):
         return raw
     parsed = []
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(_as_tuple(raw)):
         if isinstance(entry, dict):
             unknown = set(entry) - {"label", "elements"}
             if unknown:
                 raise ValueError(f"unknown set fields: {sorted(unknown)}")
+            if "elements" not in entry:
+                raise ValueError(f"set {i} has no 'elements'")
             label = entry.get("label", f"custom{i}")
             elements = entry["elements"]
         else:
             label, elements = f"custom{i}", entry
-        elements = tuple(
-            tuple(e) if isinstance(e, list) else e for e in elements
-        )
-        parsed.append((str(label), elements))
+        parsed.append((str(label), tuple(_element(e) for e in _as_tuple(elements))))
     return tuple(parsed)
+
+
+def _element(value):
+    """A set element, a scalar or a tuple, once each part is a half-integer."""
+    parts = tuple(value) if isinstance(value, list) else (value,)
+    for part in parts:
+        HalfInt.of(part)
+    return parts if isinstance(value, list) else value
+
+
+# The scenario fields that are JSON objects: their types and field converters.
+_OBJECTS = {
+    "state": (StateInput, {
+        "kind": str, "parity": str, "modes": int, "coefficients": _as_tuple,
+    }),
+    "detector": (DetectorConfig, {
+        "model": str, "efficiency": float, "dark": float, "bins": int, "levels": int,
+    }),
+    "sweep": (SweepSpec, {
+        "start": float, "stop": float, "points": int, "scale": str, "variable": str,
+    }),
+    "output": (OutputSpec, {"path": str, "format": str}),
+}
 
 
 def scenario_from_json(text: str) -> Scenario:
     """Parse a scenario document, rejecting unknown fields at every level."""
-    raw = json.loads(text)
-    if not isinstance(raw, dict):
-        raise ValueError("scenario document must be a JSON object")
-    fields = _take(raw, "scenario", {
+    fields = _take(json.loads(text), "scenario", {
         "name": str,
-        "state": dict,
-        "detector": dict,
         "sets": _parse_sets,
         "kinds": _as_tuple,
         "criteria": _as_tuple,
         "mode_counts": _as_tuple,
         "cases": _as_tuple,
-        "sweep": dict,
-        "output": dict,
+        **{key: (lambda value: value) for key in _OBJECTS},  # parsed below
     })
-    if "state" in fields:
-        state_kwargs = _take(fields["state"], "state", {
-            "kind": str,
-            "parity": str,
-            "modes": int,
-            "coefficients": _as_tuple,
-        })
-        fields["state"] = StateInput(**state_kwargs)
-    if "detector" in fields:
-        det_kwargs = _take(fields["detector"], "detector", {
-            "model": str,
-            "efficiency": float,
-            "dark": float,
-            "bins": int,
-            "levels": int,
-        })
-        fields["detector"] = DetectorConfig(**det_kwargs)
-    if "sweep" in fields:
-        sweep_kwargs = _take(fields["sweep"], "sweep", {
-            "start": float,
-            "stop": float,
-            "points": int,
-            "scale": str,
-            "variable": str,
-        })
-        fields["sweep"] = SweepSpec(**sweep_kwargs)
-    if "output" in fields:
-        out_kwargs = _take(fields["output"], "output", {
-            "path": str,
-            "format": str,
-        })
-        fields["output"] = OutputSpec(**out_kwargs)
-    return Scenario(**fields)
+    for key, (cls, known) in _OBJECTS.items():
+        if key in fields:
+            fields[key] = _construct(cls, key, _take(fields[key], key, known))
+    return _construct(Scenario, "scenario", fields)
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,6 @@ import numpy as np
 _NORM_TOL = 1e-12
 _IMAG_TOL = 1e-10
 _TAIL_TOL = 1e-14
-_SUPPORT_TOL = 1e-14
 _FOCK_START = 60
 _FOCK_CAP = 960
 
@@ -173,12 +172,6 @@ class NOExpr:
         for coeff, power, decay in self.terms:
             total = total + coeff * np.power(y, power) * np.exp(extra - decay * y)
         return total
-
-    def value_at(self, x: complex) -> complex:
-        return complex(self.values(x))
-
-    def max_power(self) -> int:
-        return max((p for _, p, _ in self.terms), default=0)
 
 
 # --------------------------------------------------------------------------
@@ -502,19 +495,8 @@ def expect_fock(state, expr: NOExpr) -> float:
     return total
 
 
-def expect_fock_product(states: Sequence[FockVector], exprs) -> float:
-    """Oracle for multimode product states: product of per-mode oracles."""
-    exprs = tuple(exprs)
-    if len(states) != len(exprs):
-        raise ValueError("need one expression per mode")
-    out = 1.0
-    for state, expr in zip(states, exprs):
-        out *= expect_fock(state, expr)
-    return out
-
-
 # --------------------------------------------------------------------------
-# conversions and diagnostics
+# conversions and dispatch
 
 
 def to_fock(state: StateSpec, n_max: int | None = None):
@@ -566,23 +548,6 @@ def to_fock(state: StateSpec, n_max: int | None = None):
                 f"tail probability {tail:.3e} still above {_TAIL_TOL} at n={limit}"
             )
         limit *= 2
-
-
-def photon_number_support(state: StateSpec, n_max: int | None = None) -> set[int]:
-    """Set {n : p_n > 1e-14} of the lossless photon-number distribution.
-
-    Even cat states are supported on even n only, odd cats on odd n only;
-    this is the parity diagnostic behind the choice of index-set class.
-    """
-    fock = to_fock(state, n_max)
-    if isinstance(fock, Mixture):
-        support: set[int] = set()
-        for p, part in fock.parts:
-            support |= {
-                n for n, c in enumerate(part.coeffs) if p * abs(c) ** 2 > _SUPPORT_TOL
-            }
-        return support
-    return {n for n, c in enumerate(fock.coeffs) if abs(c) ** 2 > _SUPPORT_TOL}
 
 
 def expect_any(state: StateSpec, expr) -> float:

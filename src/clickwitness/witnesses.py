@@ -22,6 +22,7 @@ from .detectors import (
     PNR,
     CountDistribution,
     DetectorConfig,
+    _outcome_weights,
     click_moment,
     click_moment_from_counts,
     # Unused here since the from-counts matrices go through outcome weights;
@@ -34,12 +35,9 @@ from .numerics import (
     MAX_DIM,
     HalfInt,
     SymMatrix,
-    binom,
-    falling_factorial,
     leading_minors,
     min_eigenvalue,
     min_eigenvalues,
-    multinom,
 )
 from .states import NOExpr, StateSpec, expect_any
 
@@ -346,25 +344,8 @@ def entry_quantity(cfg: DetectorConfig, kind: str, a, b):
     return NOExpr.monomial(1.0, s, 0.0, cfg.efficiency, 0.0)
 
 
-def _expectations(state, cfg: DetectorConfig, quantities: list) -> list:
-    """Values of :func:`entry_quantity` results, in order; arrays for a CoherentStack.
-
-    POVM exponent tuples all go through one kernel call.
-    """
-    if cfg.model == PHOTOELECTRIC:
-        return [np.asarray(expect_any(state, quantity)) for quantity in quantities]
-    return [np.asarray(value) for value in povm_product_value(state, cfg, quantities)]
-
-
-def _metadata(state, cfg, iset, **extra) -> dict:
-    meta = {"state": state, "config": cfg, "set": iset.label}
-    meta.update(extra)
-    return meta
-
-
-def _pair_quantities(iset: IndexSet, quantity) -> dict:
+def _pair_quantities(labels, quantity) -> dict:
     """``quantity(a, b)`` of the labels of every entry (i, j), i <= j."""
-    labels = iset.elements
     return {
         (i, j): quantity(labels[i], labels[j])
         for i in range(len(labels)) for j in range(i, len(labels))
@@ -374,26 +355,41 @@ def _pair_quantities(iset: IndexSet, quantity) -> dict:
 def _fill(dim: int, quantities: dict, values: dict) -> np.ndarray:
     """(..., dim, dim) matrices with entry (i, j) = ``values[quantities[i, j]]``.
 
-    ``values`` holds arrays.  Both triangles receive the same value, so
-    every matrix is exactly symmetric; the leading shape broadcasts those of
-    the values.
+    ``values`` holds arrays or scalars.  Both triangles receive the same
+    value, so every matrix is exactly symmetric; the leading shape broadcasts
+    those of the values.
     """
-    points = np.broadcast_shapes(*(values[q].shape for q in quantities.values()))
+    points = np.broadcast_shapes(*(np.shape(values[q]) for q in quantities.values()))
     entries = np.empty(points + (dim, dim))
     for (i, j), quantity in quantities.items():
         entries[..., i, j] = entries[..., j, i] = values[quantity]
     return entries
 
 
+def _state_entries(states, cfg: DetectorConfig, kind: str, iset: IndexSet,
+                   values: dict) -> np.ndarray:
+    """The ``kind`` matrices of ``states``, (..., d, d).
+
+    ``values`` maps each :func:`entry_quantity` to its values; the missing
+    distinct quantities are evaluated and added to it, all POVM exponent
+    tuples in one kernel call.
+    """
+    check_admissible(iset, cfg, kind)
+    quantities = _pair_quantities(
+        iset.elements, lambda a, b: entry_quantity(cfg, kind, a, b))
+    missing = [q for q in dict.fromkeys(quantities.values()) if q not in values]
+    if cfg.model == PHOTOELECTRIC:
+        values.update((q, expect_any(states, q)) for q in missing)
+    elif missing:
+        values.update(zip(missing, povm_product_value(states, cfg, missing)))
+    return _fill(len(iset.elements), quantities, values)
+
+
 def _state_report(state: StateSpec, cfg: DetectorConfig, iset: IndexSet,
                   kind: str) -> WitnessReport:
-    check_admissible(iset, cfg, kind)
-    quantities = _pair_quantities(iset, lambda a, b: entry_quantity(cfg, kind, a, b))
-    distinct = list(dict.fromkeys(quantities.values()))
-    values = dict(zip(distinct, _expectations(state, cfg, distinct)))
-    matrix = SymMatrix(_fill(len(iset.elements), quantities, values))
+    matrix = SymMatrix(_state_entries(state, cfg, kind, iset, {}))
     return _report(matrix, iset.elements, f"{kind}:{cfg.model}",
-                   _metadata(state, cfg, iset))
+                   {"state": state, "config": cfg, "set": iset.label})
 
 
 def count_matrix(state: StateSpec, cfg: DetectorConfig,
@@ -423,48 +419,10 @@ def min_eig_sweep(states, cfg: DetectorConfig, kind: str, iset: IndexSet,
     quantity shared by entries, sets or kinds is evaluated once.  The
     matrices form one (G, d, d) stack for a single eigensolver call.
     """
-    check_admissible(iset, cfg, kind)
-    quantities = _pair_quantities(iset, lambda a, b: entry_quantity(cfg, kind, a, b))
-    missing = [q for q in dict.fromkeys(quantities.values()) if q not in values]
-    if missing:
-        values.update(zip(missing, _expectations(states, cfg, missing)))
-    entries = _fill(len(iset.elements), quantities, values)
+    entries = _state_entries(states, cfg, kind, iset, values)
     min_eig = min_eigenvalues(entries)
     flags = nonclassical(min_eig, np.abs(entries).max(axis=(-2, -1)))
     return min_eig, np.where(flags, NONCLASSICAL, NO_VIOLATION)
-
-
-def _outcome_weights(counts: CountDistribution, kind: str, s, index: dict):
-    """Outcome weights and divisor of the from-counts entry with pair sum ``s``.
-
-    The entry is sum_k w_k p_k / divisor over the outcomes of ``counts``,
-    with the Python int/float arithmetic of the per-quantity formulas:
-    p_s / C(N, s), p_s / multinom(N, s) and s! p_s for counts, and the
-    identities of the ``*_moment_from_counts`` functions for moments.  An
-    outcome that is absent has weight 0, like the 0.0 of ``counts.prob``.
-    """
-    bins = counts.config.bins
-    if kind == "counts":
-        if counts.kind == "photo":
-            weight, divisor = float(math.factorial(s)), 1.0
-        elif counts.kind == "click":
-            weight, divisor = 1.0, float(binom(bins, s))
-        else:
-            weight, divisor = 1.0, float(multinom(bins, s))
-        weights = [0.0] * len(counts.outcomes)
-        if s in index:
-            weights[index[s]] = weight
-        return weights, divisor
-    if counts.kind == "photo":
-        return [float(falling_factorial(n, s)) for n in counts.outcomes], 1.0
-    if counts.kind == "click":
-        norm = binom(bins, s)
-        return [binom(k, s) / norm if k >= s else 0.0 for k in counts.outcomes], 1.0
-    weights = [
-        float(math.prod(falling_factorial(n, e) for n, e in zip(outcome, s)))
-        for outcome in counts.outcomes
-    ]
-    return weights, float(falling_factorial(bins, sum(s)))
 
 
 def from_counts_entries(counts: CountDistribution, probs: np.ndarray,
@@ -488,7 +446,7 @@ def from_counts_entries(counts: CountDistribution, probs: np.ndarray,
     if not np.isfinite(probs).all():
         raise ValueError("from-counts probabilities must be finite")
     pair_sum = _pair_sum_multi if counts.kind == "pnr" else _pair_sum_scalar
-    quantities = _pair_quantities(iset, pair_sum)
+    quantities = _pair_quantities(iset.elements, pair_sum)
     sums = list(dict.fromkeys(quantities.values()))
     index = {outcome: k for k, outcome in enumerate(counts.outcomes)}
     weights, divisors = zip(*(_outcome_weights(counts, kind, s, index) for s in sums))

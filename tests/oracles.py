@@ -8,7 +8,9 @@ evaluators at the end take one component pair and one grid point at a time
 with Python complex arithmetic; the package evaluates whole grids as arrays.
 The from-counts builders and the bootstrap at the end assemble one entry and
 one redraw at a time, with per-matrix eigenvalue and determinant calls; the
-package evaluates every redraw of a bootstrap in one array pass.  The
+package evaluates every redraw of a bootstrap in one array pass.  Their
+moments are the per-outcome loops of the closed-form identities; the
+package sums the outcome weights that its from-counts matrices share.  The
 outcome-by-outcome from-counts sum shares the package's outcome weights
 but adds every outcome's term, zero weights included; the package adds
 only the nonzero terms, one step for the j-th term of every pair sum.  The
@@ -114,6 +116,19 @@ def series_expect_fock(fock_probs, expr):
             acc += coeffs[k] * ff
         total += prob * acc
     return total
+
+
+def expect_fock_product(states, exprs):
+    """Multimode product states: the product of per-mode Fock-basis expectations."""
+    from clickwitness.states import expect_fock
+
+    exprs = tuple(exprs)
+    if len(states) != len(exprs):
+        raise ValueError("need one expression per mode")
+    out = 1.0
+    for state, expr in zip(states, exprs):
+        out *= expect_fock(state, expr)
+    return out
 
 
 def naive_product_terms(e1, e2):
@@ -250,6 +265,21 @@ def _loop_report(entry, labels, source):
     )
 
 
+def loop_multimode_matrices(state, elements, eta, kind):
+    """``multimode_matrices`` with one joint moment or count per entry."""
+    from clickwitness.multimode import MultiIndex, joint_counts, joint_moment
+
+    labels = tuple(sorted({MultiIndex.of(e) for e in elements}))
+
+    def entry(i, j):
+        pair = labels[i] + labels[j]
+        if kind == "moments":
+            return joint_moment(state, pair, eta)
+        return pair.factorial() * joint_counts(state, pair, eta)
+
+    return _loop_report(entry, labels, f"{kind}:multimode")
+
+
 def _pair_sum(a, b):
     if isinstance(a, tuple):
         return tuple((x + y).to_int() for x, y in zip(a, b))
@@ -274,19 +304,54 @@ def loop_count_matrix_from_counts(counts, iset):
     return _loop_report(entry, labels, f"counts:{cfg.model}")
 
 
-def loop_moment_matrix_from_counts(counts, iset):
-    """Moment matrix with one per-outcome moment sum per entry."""
-    from clickwitness.detectors import (
-        click_moment_from_counts,
-        factorial_moment_from_counts,
-        pnr_moment_from_counts,
+def loop_factorial_moment(counts, m):
+    """sum_n n!/(n-m)! p_n, every outcome's term added."""
+    from clickwitness.numerics import falling_factorial
+
+    return sum(
+        falling_factorial(n, m) * p for n, p in zip(counts.outcomes, counts.probs)
     )
 
-    moment = {
-        "photo": factorial_moment_from_counts,
-        "click": click_moment_from_counts,
-        "pnr": pnr_moment_from_counts,
-    }[counts.kind]
+
+def loop_click_moment(counts, m):
+    """sum_{k >= m} [C(k, m) / C(N, m)] c_k."""
+    from clickwitness.numerics import binom
+
+    norm = binom(counts.config.bins, m)
+    return sum(
+        binom(k, m) / norm * p
+        for k, p in zip(counts.outcomes, counts.probs)
+        if k >= m
+    )
+
+
+def loop_pnr_moment(counts, exponents):
+    """E[prod_j (N_j)_(e_j)] / (N)_(sum e), one integer weight per outcome."""
+    from clickwitness.numerics import falling_factorial
+
+    norm = falling_factorial(counts.config.bins, sum(exponents))
+    out = 0.0
+    for outcome, p in zip(counts.outcomes, counts.probs):
+        weight = 1
+        for n_j, e_j in zip(outcome, exponents):
+            weight *= falling_factorial(n_j, e_j)
+            if weight == 0:
+                break
+        if weight:
+            out += weight * p
+    return out / norm
+
+
+LOOP_MOMENTS = {
+    "photo": loop_factorial_moment,
+    "click": loop_click_moment,
+    "pnr": loop_pnr_moment,
+}
+
+
+def loop_moment_matrix_from_counts(counts, iset):
+    """Moment matrix with one per-outcome moment sum per entry."""
+    moment = LOOP_MOMENTS[counts.kind]
     labels = iset.elements
 
     def entry(i, j):
@@ -297,16 +362,16 @@ def loop_moment_matrix_from_counts(counts, iset):
 
 def loop_from_counts_entries(counts, probs, iset, kind):
     """``from_counts_entries`` with one step per outcome, zero weights included."""
+    from clickwitness.detectors import _outcome_weights
     from clickwitness.witnesses import (
         _fill,
-        _outcome_weights,
         _pair_quantities,
         _pair_sum_multi,
         _pair_sum_scalar,
     )
 
     pair_sum = _pair_sum_multi if counts.kind == "pnr" else _pair_sum_scalar
-    quantities = _pair_quantities(iset, pair_sum)
+    quantities = _pair_quantities(iset.elements, pair_sum)
     sums = list(dict.fromkeys(quantities.values()))
     index = {outcome: k for k, outcome in enumerate(counts.outcomes)}
     weights, divisors = zip(*(_outcome_weights(counts, kind, s, index) for s in sums))

@@ -58,6 +58,23 @@ class TestScenarioParsing:
         scenario = scenario_from_json(json.dumps(doc))
         assert scenario.sets[0][0] == "integer"
 
+    @pytest.mark.parametrize("changes, field", [
+        ({"state": [1]}, "state"),
+        ({"state": {"parity": "odd"}}, "kind"),
+        ({"sweep": {"start": 0.1, "stop": 1.0, "points": [2]}}, "points"),
+        ({"sets": 5}, "sets"),
+        ({"sets": [{"label": "a"}]}, "elements"),
+        ({"sets": [[0, True]]}, "sets"),
+        ({"kinds": "counts"}, "kinds"),
+    ])
+    def test_malformed_fields_raise_value_errors(self, changes, field):
+        with pytest.raises(ValueError, match=field):
+            scenario_from_json(json.dumps(dict(self.BASE, **changes)))
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            scenario_from_json("[1]")
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(start=-1.0, stop=1.0, points=5, scale="log")
@@ -240,6 +257,16 @@ class TestMainEntry:
         ])
         assert code == 0
         assert (tmp_path / "demo_integer_counts_min_eig.csv").exists()
+
+    def test_malformed_scenario_file_exits_2(self, tmp_path, capsys):
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(dict(TestScenarioParsing.BASE, sets=5)))
+        outdir = tmp_path / "out"
+        code = main(["sweep", "--scenario", str(scenario_path), "--outdir", str(outdir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "sets" in err
+        assert not outdir.exists()
 
     def test_sample_command(self, tmp_path, capsys):
         code = main([

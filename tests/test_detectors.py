@@ -1,9 +1,12 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickwitness.detectors import (
     CountDistribution,
@@ -30,7 +33,7 @@ from clickwitness.states import (
     to_fock,
 )
 from helpers import random_cat, random_coherent, random_coherent_mixture
-from oracles import loop_clean_probs
+from oracles import LOOP_MOMENTS, expanded_povm_product, loop_clean_probs
 
 
 class TestDetectorConfig:
@@ -303,13 +306,12 @@ class TestPnrMoments:
 
     def test_cat_matches_fock_oracle(self):
         from clickwitness.states import expect_fock
-        from clickwitness.detectors import povm_product_expression
 
         cfg = DetectorConfig.pnr(4, 2, 0.5)
         cat = make_cat(1.2, "even")
         fock = to_fock(cat)
         for exponents in ((1, 1, 0), (2, 0, 1), (0, 2, 2)):
-            expr = povm_product_expression(cfg, exponents)
+            expr = expanded_povm_product(cfg.levels, exponents, cfg.gamma_rate, cfg.dark)
             assert pnr_moment(cat, cfg, exponents) == pytest.approx(
                 expect_fock(fock, expr), abs=1e-10
             )
@@ -323,6 +325,55 @@ class TestPnrMoments:
                 assert pnr_moment_from_counts(dist, exponents) == pytest.approx(
                     pnr_moment(state, cfg, exponents), rel=1e-11, abs=1e-13
                 )
+
+
+# (config, distribution kind, outcome space, moment orders)
+MOMENT_CASES = {
+    "photo": (DetectorConfig.photoelectric(0.5), "photo", tuple(range(13)), range(9)),
+    **{
+        f"onoff{bins}": (DetectorConfig.onoff(bins, 0.5), "click",
+                         tuple(range(bins + 1)), range(bins + 1))
+        for bins in (3, 5, 8)
+    },
+    "pnr5_2": (DetectorConfig.pnr(5, 2, 0.5), "pnr", tuple(pnr_outcomes(5, 2)),
+               [e for e in itertools.product(range(6), repeat=3) if sum(e) <= 5]),
+}
+
+MOMENT_FROM_COUNTS = {
+    "photo": factorial_moment_from_counts,
+    "click": click_moment_from_counts,
+    "pnr": pnr_moment_from_counts,
+}
+
+# Zeros of both signs, tiny values and tiny negatives, which clipping turns to 0.
+MOMENT_PROBS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-16, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def moment_cases(draw):
+    """(counts, order) with some outcomes absent from the distribution."""
+    cfg, kind, outcomes, orders = MOMENT_CASES[draw(st.sampled_from(sorted(MOMENT_CASES)))]
+    present = draw(st.sets(st.sampled_from(outcomes)))
+    kept = tuple(o for o in outcomes if o in present)
+    probs = draw(st.lists(MOMENT_PROBS, min_size=len(kept), max_size=len(kept)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        counts = CountDistribution(kind, kept, tuple(probs), cfg)
+    return counts, draw(st.sampled_from(list(orders)))
+
+
+class TestMomentScalarsFromCounts:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(moment_cases())
+    def test_match_the_outcome_loops(self, case):
+        counts, order = case
+        got = MOMENT_FROM_COUNTS[counts.kind](counts, order)
+        want = LOOP_MOMENTS[counts.kind](counts, order)
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 def test_k1_pnr_equals_onoff_distribution():
@@ -342,12 +393,7 @@ def test_product_form_matches_expanded_expressions():
     # the stable product-form evaluator must agree with the expectation of
     # the binomially expanded expression wherever the latter is well
     # conditioned (moderate amplitudes)
-    from clickwitness.detectors import (
-        click_moment_expression,
-        click_outcome_expression,
-        povm_product_expression,
-        povm_product_value,
-    )
+    from clickwitness.detectors import povm_product_value
     from clickwitness.states import expect
 
     rng = np.random.default_rng(61)
@@ -356,16 +402,19 @@ def test_product_form_matches_expanded_expressions():
     for _ in range(5):
         state = random_cat(rng, max_abs2=4.0)
         for k in range(onoff.bins + 1):
-            expanded = expect(state, click_outcome_expression(onoff, k))
+            expanded = expect(state, expanded_povm_product(
+                1, (onoff.bins - k, k), onoff.gamma_rate, onoff.dark))
             stable = povm_product_value(state, onoff, (onoff.bins - k, k))
             assert stable == pytest.approx(expanded, rel=1e-9, abs=1e-12)
         for m in range(onoff.bins + 1):
-            expanded = expect(state, click_moment_expression(onoff, m))
+            expanded = expect(state, expanded_povm_product(
+                1, (0, m), onoff.gamma_rate, onoff.dark))
             assert povm_product_value(state, onoff, (0, m)) == pytest.approx(
                 expanded, rel=1e-9, abs=1e-12
             )
         for exponents in ((1, 1, 2), (2, 0, 0), (0, 1, 1)):
-            expanded = expect(state, povm_product_expression(pnr, exponents))
+            expanded = expect(state, expanded_povm_product(
+                pnr.levels, exponents, pnr.gamma_rate, pnr.dark))
             assert povm_product_value(state, pnr, exponents) == pytest.approx(
                 expanded, rel=1e-9, abs=1e-12
             )

@@ -1,0 +1,92 @@
+"""Every public function and method of the package has a user outside the tests.
+
+A public (no leading underscore) function at module level, or method in a
+class body, of ``src/clickwitness`` must be exported by ``__all__``,
+referenced by the code in ``src/`` or ``scripts/``, or named by a lookup site
+of the benchmark tracer's ``HOOKS``.  Anything else serves only the tests and
+belongs in ``tests/``.  A reference is a name or an attribute with the
+function's name, wherever it appears; an import alone is none.
+"""
+
+import ast
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import clickwitness
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "clickwitness"
+TRACING = ROOT / "bench" / "tracing.py"
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# Enumerators of the paper that only the tests call today, one reason each.
+ALLOWED = {
+    "enumerate_pnr_moment_sets":
+        "the paper's 2^(K+1) pnr moment-matrix sets; no CLI option selects them yet",
+    "mode_class_patterns":
+        "the paper's 2^mu multimode class patterns, which label the witness families",
+    "IndexSet.class_pattern":
+        "the integer/half class of each slot of a set, as the paper names the families",
+}
+
+
+def public_definitions():
+    """(module, qualified name) of every public function and method."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, FUNCTIONS) and not node.name.startswith("_"):
+                yield path.stem, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, FUNCTIONS) and not item.name.startswith("_"):
+                        yield path.stem, f"{node.name}.{item.name}"
+
+
+def referenced_names() -> set:
+    names = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+@pytest.fixture(scope="module")
+def hooked() -> set:
+    """The ``attribute`` part of every ``module:attribute`` site of ``HOOKS``."""
+    spec = importlib.util.spec_from_file_location("bench_tracing_layout", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # read only: no bytecode cache is written next to the tracer
+    monkeypatch = pytest.MonkeyPatch()
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        monkeypatch.undo()
+    return {site.partition(":")[2] for hook in module.HOOKS for site in hook.sites}
+
+
+def unused(hooked: set) -> dict:
+    """Qualified name -> module of every public function that has no user."""
+    referenced = referenced_names()
+    kept = set(clickwitness.__all__) | hooked
+    return {
+        name: module for module, name in public_definitions()
+        if name.rpartition(".")[2] not in referenced and name not in kept
+    }
+
+
+def test_every_public_function_has_a_user(hooked):
+    flagged = sorted(f"{module}:{name}" for name, module in unused(hooked).items()
+                     if name not in ALLOWED)
+    assert not flagged, f"only the tests use these; move them to tests/: {flagged}"
+
+
+def test_the_allowlist_names_only_unused_functions(hooked):
+    assert set(unused(hooked)) == set(ALLOWED)

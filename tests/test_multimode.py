@@ -17,8 +17,10 @@ from clickwitness.multimode import (
     ratio_criterion,
 )
 from clickwitness.numerics import MAX_DIM
+from clickwitness.scenarios import StateInput
 from clickwitness.states import coherent_state, make_cat
 from clickwitness.witnesses import INDETERMINATE, NONCLASSICAL, NO_VIOLATION
+from oracles import loop_multimode_matrices
 
 MODE_COUNTS = (1, 2, 3, 5)
 
@@ -302,6 +304,28 @@ class TestCountRatioCriterion:
             assert result.ratio <= 1.0 + 1e-10
 
 
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    def test_stack_matches_each_point(self, eta):
+        grid = (0.5, 1.0, 2.0)
+        cats = StateInput("cat", parity="both", modes=2)
+        pairs = [((0, 0), (1, 0)), ((0, 0), (2, 0)), (("1/2", 0), ("3/2", 0)),
+                 ((1, 0), (0, 1))]
+        verdicts = set()
+        for label, stack in cats.stack(grid):
+            states = [dict(cats.build(alpha2))[label] for alpha2 in grid]
+            for n_raw, m_raw in pairs:
+                n, m = MultiIndex.of(n_raw), MultiIndex.of(m_raw)
+                got = count_ratio_criterion(stack, n, m, eta)
+                points = [count_ratio_criterion(state, n, m, eta) for state in states]
+                assert got.case == points[0].case
+                assert np.array_equal(got.ratio, [p.ratio for p in points], equal_nan=True)
+                assert got.verdict.tolist() == [p.verdict for p in points]
+                verdicts.update(p.verdict for p in points)
+        if eta == 1.0:
+            # parity-forbidden coincidences make denominators vanish
+            assert {DIVERGENT, INDETERMINATE} <= verdicts
+
+
 class TestMultimodeMatrices:
     def test_pattern_enumeration(self):
         patterns = list(mode_class_patterns(2))
@@ -358,3 +382,50 @@ class TestMultimodeMatrices:
         elements = [(k, 0) for k in range(MAX_DIM)]
         report = multimode_matrices(state, elements + elements[:3], kind="moments")
         assert report.matrix.dim == MAX_DIM
+
+
+MULTIMODE_SETS = (
+    ((0, 0), (1, 0), (0, 1)),
+    (("1/2", 0), ("3/2", 0), ("1/2", 1)),
+    (("1/2", "1/2"), ("3/2", "1/2"), ("1/2", "3/2"), ("3/2", "3/2")),
+)
+
+
+def multimode_states():
+    for alpha in (0.3, 0.9, 1.7):
+        yield make_cat(alpha, "even", 2)
+        yield make_cat(alpha, "odd", 2)
+        yield coherent_state((alpha, 0.5 * alpha), 2)
+
+
+class TestMultimodeAssembly:
+    @pytest.mark.parametrize("kind", ["moments", "counts"])
+    def test_matches_the_per_entry_build(self, kind):
+        for state in multimode_states():
+            for elements in MULTIMODE_SETS:
+                got = multimode_matrices(state, elements, eta=0.8, kind=kind)
+                want = loop_multimode_matrices(state, elements, 0.8, kind)
+                # repr tells -0.0 from 0.0
+                assert repr(got.matrix.entries.tolist()) == repr(want.matrix.entries.tolist())
+                assert repr(got.min_eig) == repr(want.min_eig)
+                assert repr(got.minors) == repr(want.minors)
+                assert (got.labels, got.source) == (want.labels, want.source)
+
+    @pytest.mark.parametrize("kind, evaluator", [
+        ("moments", "joint_moment"), ("counts", "joint_counts"),
+    ])
+    def test_each_pair_sum_evaluated_once(self, kind, evaluator, monkeypatch):
+        calls = {"joint_moment": [], "joint_counts": []}
+        for name, log in calls.items():
+            original = getattr(multimode, name)
+            monkeypatch.setattr(multimode, name,
+                                lambda state, index, eta=1.0, f=original, log=log:
+                                log.append(index) or f(state, index, eta))
+        elements = MULTIMODE_SETS[2]
+        multimode_matrices(make_cat(1.0, "odd", 2), elements, kind=kind)
+        labels = [MultiIndex.of(e) for e in elements]
+        sums = {a + b for a in labels for b in labels}
+        # 10 entries share 9 pair sums: (3/2,1/2)+(1/2,3/2) = (1/2,1/2)+(3/2,3/2)
+        assert len(sums) == 9
+        assert sorted(calls[evaluator]) == sorted(sums)
+        assert sum(len(log) for log in calls.values()) == len(sums)

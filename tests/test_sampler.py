@@ -432,3 +432,10 @@ class TestHistogramRoundTrip:
         outcomes, counts = read_histogram(path)
         assert outcomes == dist.outcomes
         assert counts == run.counts
+
+    @pytest.mark.parametrize("body", ["0,5\n1\n", "0,5\n\n1,3\n", "0,5\n1,x\n"])
+    def test_malformed_row_names_its_line(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("outcome,count\n" + body)
+        with pytest.raises(ValueError, match="line 3"):
+            read_histogram(path)

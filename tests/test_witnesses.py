@@ -128,8 +128,8 @@ class TestPairSums:
     def test_integer_sums_match_half_integer_sums(self, cfg):
         for iset in enumerate_index_sets(cfg):
             pair_sum = _pair_sum_multi if iset.multi else _pair_sum_scalar
-            got = _pair_quantities(iset, pair_sum)
-            assert got == _pair_quantities(iset, half_int_pair_sum)
+            got = _pair_quantities(iset.elements, pair_sum)
+            assert got == _pair_quantities(iset.elements, half_int_pair_sum)
             for key in got.values():
                 assert all(type(k) is int for k in (key if iset.multi else (key,)))
 
