@@ -5,14 +5,13 @@
 * pnr: N multiplexed bins, each resolving 0, 1, ..., K-1, or "K or more"
   photons (K = 1 reduces exactly to the on-off model)
 
-Dark counts nu enter per bin through the affine response.  All outcome
-probabilities and moments are expectations of :class:`~.states.NOExpr`
-expressions.  Coherent superpositions are evaluated through the product
-form of :func:`povm_product_value`, elementwise over a whole
-:class:`~.states.CoherentStack` of grid points at once.  One call evaluates
-every distinct POVM product that a distribution or a witness matrix needs:
-the factors the products share (y, the tail series of pi_K, the powers
-y^j/j!) are computed once per call, not once per exponent tuple.
+Dark counts nu enter per bin through the affine response.  Photoelectric
+quantities are expectations of :class:`~.states.NOExpr` monomials; the
+multiplexed ones are POVM products.  :func:`povm_product_value` takes
+coherent superpositions through the product form, elementwise over a whole
+:class:`~.states.CoherentStack` of grid points and with the factors the
+products share (y, the tail series of pi_K, y^j/j!) computed once per
+call, and Fock-basis inputs through a photon-number sum of nonnegative terms.
 
 Measured statistics take the other route: every from-counts quantity, the
 ``*_moment_from_counts`` scalars and the entries of the from-counts witness
@@ -39,7 +38,6 @@ from .states import (
     NOExpr,
     StateSpec,
     expect_any,
-    expect_fock,
     pair_sum,
 )
 
@@ -188,42 +186,6 @@ def _moment_from_counts(counts: CountDistribution, s) -> float:
 
 
 # --------------------------------------------------------------------------
-# expression builders
-
-
-def _photo_expr(n: int, rate: float, offset: float) -> NOExpr:
-    # p_n = <: G^n / n! exp(-G) :>
-    return NOExpr.monomial(1.0 / math.factorial(n), n, 1.0, rate, offset)
-
-
-def _povm_exprs(levels: int, rate: float, offset: float) -> tuple[NOExpr, ...]:
-    # pi_j = :G^j/j! exp(-G):  for j < K, and pi_K completes to the identity.
-    lower = [
-        NOExpr.monomial(1.0 / math.factorial(j), j, 1.0, rate, offset)
-        for j in range(levels)
-    ]
-    last = NOExpr.one(rate, offset)
-    for expr in lower:
-        last = last - expr
-    povm = tuple(lower + [last])
-    total = NOExpr.constant(0.0, rate, offset)
-    for expr in povm:
-        total = total + expr
-    if total.terms != ((1.0, 0, 0.0),):
-        raise AssertionError(f"POVM does not resolve the identity: {total.terms}")
-    return povm
-
-
-def _povm_product_expr(levels: int, exponents: tuple[int, ...],
-                       rate: float, offset: float) -> NOExpr:
-    povm = _povm_exprs(levels, rate, offset)
-    out = NOExpr.one(rate, offset)
-    for expr, e in zip(povm, exponents):
-        out = out * expr ** e
-    return out
-
-
-# --------------------------------------------------------------------------
 # stable evaluation of POVM power products
 #
 # Expanding (1 - exp(-G))^k binomially turns a quantity of size ~ gamma^k
@@ -308,6 +270,64 @@ def _pair_product(y: np.ndarray, overlap_exp: np.ndarray, exponents: tuple[int, 
     return np.exp(overlap_exp - folded * y) * poly
 
 
+# --------------------------------------------------------------------------
+# photon-number route for Fock-basis inputs
+
+
+def _number_values(probs: np.ndarray, cfg: DetectorConfig, levels: int, rows: list) -> list:
+    """sum_n p_n q_e(n) for each exponent row e, with p_n along the last axis of ``probs``.
+
+    q_e(n), the row's value on |n>, is a probability: a bin that holds c
+    photons reads min(c + D, K) with D ~ Pois(nu) dark counts.  The sum(e)
+    <= N designated bins are filled one after another; the t-th takes each
+    photon still unplaced with probability eta / (N - (t-1) eta), rounded
+    once from exact integers.  u(k), the probability that k photons are
+    still unplaced and every bin so far read its level, is stepped with
+    binomial tables from Pascal's rule, each row divided by its sum against
+    the drift of the rounded (stay + land)^m.  Bins that read K come first,
+    so their dense steps are shared by all rows; a bin of level j < K keeps
+    at most j photons, so its step is banded.  Every term is nonnegative.
+    """
+    if any(sum(row) > cfg.bins for row in rows):
+        raise ValueError(f"a photon-number input addresses at most N={cfg.bins} bins")
+    n, nu = probs.shape[-1] - 1, cfg.dark
+    num, den = cfg.efficiency.as_integer_ratio()  # eta = num / den exactly
+    pmf = [math.exp(-nu)]  # P(D = i), until the terms past K no longer add to P(D >= K)
+    if not pmf[0] > 0.0:
+        raise ValueError(f"dark parameter {nu} is out of range for a photon-number input")
+    while len(pmf) <= levels or pmf[-1] > 1e-17 * sum(pmf[levels:]):
+        pmf.append(pmf[-1] * nu / len(pmf))
+    top = max(row[levels] for row in rows)
+    chain, diagonals, table = [probs], {}, np.empty((n + 1, n + 1))
+    for t in range(1, max(map(sum, rows)) + 1):
+        rest = cfg.bins * den - (t - 1) * num
+        land, stay = num / rest, (rest - num) / rest  # int / int rounds once
+        table.fill(0.0)
+        table[0, 0] = 1.0  # table[m, k]: k of m photons stay out of bin t
+        for m in range(1, n + 1):
+            table[m, 1:m + 1] = stay * table[m - 1, :m]
+            table[m, :m] += land * table[m - 1, :m]
+        table /= table.sum(axis=1, keepdims=True)
+        cells = [(np.arange(c, n + 1), np.arange(n + 1 - c)) for c in range(min(levels, n + 1))]
+        diagonals[t] = [table[cell] for cell in cells]  # c of k + c photons land
+        if t <= top:
+            for c, cell in enumerate(cells):
+                table[cell] *= sum(pmf[levels - c:])
+            chain.append(chain[-1] @ table)
+    values = []
+    for row in rows:
+        u, t = chain[row[levels]], row[levels]
+        for j in range(levels):
+            for _ in range(row[j]):
+                t += 1
+                out = np.zeros_like(u)
+                for c in range(min(j, n) + 1):
+                    out[..., :n + 1 - c] += pmf[j - c] * diagonals[t][c] * u[..., c:]
+                u = out
+        values.append(u.sum(axis=-1))
+    return values
+
+
 def _as_exponent(e) -> int:
     """``e`` as an int; a ValueError names an exponent that is not an integer."""
     try:
@@ -322,10 +342,7 @@ def _povm_values(state, cfg: DetectorConfig, levels: int, rows: list) -> list:
         parts = [(p, _povm_values(part, cfg, levels, rows)) for p, part in state.parts]
         return [sum(p * values[q] for p, values in parts) for q in range(len(rows))]
     if isinstance(state, FockVector):
-        return [
-            expect_fock(state, _povm_product_expr(levels, row, cfg.gamma_rate, cfg.dark))
-            for row in rows
-        ]
+        return [float(v) for v in _number_values(state.probabilities(), cfg, levels, rows)]
     if isinstance(state, CoherentSuperposition):
         return [
             float(value[0])
@@ -352,8 +369,9 @@ def povm_product_value(state, cfg: DetectorConfig, exponents):
     """Expectation <: pi_0^{e_0} ... pi_K^{e_K} :> via the product form.
 
     The on-off model is the K = 1 case with exponents (no-click, click).
-    Fock-basis states fall back to the expanded-expression oracle, which is
-    stable there because probabilities enter with positive weights.  A
+    Fock-basis states go through the photon-number sum of
+    :func:`_number_values`, whose terms are all nonnegative; there the
+    exponents may address at most N bins.  A
     :class:`~.states.CoherentStack` gives an array with one value per grid
     point; a single superposition is the one-point stack.
 
@@ -382,12 +400,13 @@ def povm_product_value(state, cfg: DetectorConfig, exponents):
 
 def photo_distribution(state: StateSpec, cfg: DetectorConfig,
                        n_max: int = 60) -> CountDistribution:
-    """Photocount distribution p_n for n = 0 .. n_max."""
+    """Photocount distribution p_n = <: G^n / n! exp(-G) :> for n = 0 .. n_max."""
     if cfg.model != PHOTOELECTRIC:
         raise ValueError("photo_distribution needs a photoelectric config")
     rate, offset = cfg.gamma_rate, cfg.dark
     probs = [
-        expect_any(state, _photo_expr(n, rate, offset)) for n in range(n_max + 1)
+        expect_any(state, NOExpr.monomial(1.0 / math.factorial(n), n, 1.0, rate, offset))
+        for n in range(n_max + 1)
     ]
     return CountDistribution("photo", tuple(range(n_max + 1)), tuple(probs), cfg)
 
@@ -450,10 +469,12 @@ def click_moment_from_counts(counts: CountDistribution, m: int) -> float:
 
 
 def pnr_povm(cfg: DetectorConfig) -> list[NOExpr]:
-    """Per-bin outcome operators pi_0 .. pi_K; they sum to the identity exactly."""
+    """Per-bin outcome operators pi_j = :G^j/j! exp(-G): for j < K, pi_K = 1 - sum_j pi_j."""
     if cfg.model != PNR:
         raise ValueError("pnr_povm needs a pnr config")
-    return list(_povm_exprs(cfg.levels, cfg.gamma_rate, cfg.dark))
+    lower = [((1.0 / math.factorial(j), j, 1.0),) for j in range(cfg.levels)]
+    last = ((1.0, 0, 0.0),) + tuple((-c, j, d) for ((c, j, d),) in lower)
+    return [NOExpr(terms, cfg.gamma_rate, cfg.dark) for terms in lower + [last]]
 
 
 def pnr_outcomes(bins: int, levels: int):

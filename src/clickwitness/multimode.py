@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import MAX_DIM, HalfInt, SymMatrix
-from .states import NOExpr, StateSpec, expect
+from .states import CoherentStack, NOExpr, StateSpec, expect
 from .witnesses import (
     INDETERMINATE,
     NONCLASSICAL,
@@ -158,8 +158,11 @@ def multimode_matrices(state: StateSpec, elements, eta: float = 1.0,
 
     Entries are (k+l)! p_(k+l) for ``kind="counts"`` and <: n^(k+l) :> for
     ``kind="moments"``; the index set must carry one fixed class per mode.
-    Each distinct pair sum k+l is evaluated once.
+    Each distinct pair sum k+l is evaluated once.  ``state`` is one state;
+    a :class:`~.states.CoherentStack` of grid points is refused.
     """
+    if isinstance(state, CoherentStack):
+        raise ValueError("multimode_matrices takes one state, not a CoherentStack")
     if kind not in ("counts", "moments"):
         raise ValueError("kind must be 'counts' or 'moments'")
     elements = _validate_set(tuple(

@@ -220,6 +220,18 @@ def _as_tuple(values):
     return tuple(values)
 
 
+def _strict(*types):
+    """A converter that takes only JSON values of ``types`` (true is no number)."""
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"expected {types[-1].__name__}, got {json.dumps(value)}")
+        return types[-1](value)
+    return convert
+
+
+_integer, _number = _strict(int), _strict(int, float)
+
+
 def _parse_sets(raw):
     if isinstance(raw, str):
         return raw
@@ -250,13 +262,14 @@ def _element(value):
 # The scenario fields that are JSON objects: their types and field converters.
 _OBJECTS = {
     "state": (StateInput, {
-        "kind": str, "parity": str, "modes": int, "coefficients": _as_tuple,
+        "kind": str, "parity": str, "modes": _integer,
+        "coefficients": lambda values: tuple(map(_number, _as_tuple(values))),
     }),
     "detector": (DetectorConfig, {
-        "model": str, "efficiency": float, "dark": float, "bins": int, "levels": int,
+        "model": str, "efficiency": _number, "dark": _number, "bins": _integer, "levels": _integer,
     }),
     "sweep": (SweepSpec, {
-        "start": float, "stop": float, "points": int, "scale": str, "variable": str,
+        "start": _number, "stop": _number, "points": _integer, "scale": str, "variable": str,
     }),
     "output": (OutputSpec, {"path": str, "format": str}),
 }
@@ -269,7 +282,7 @@ def scenario_from_json(text: str) -> Scenario:
         "sets": _parse_sets,
         "kinds": _as_tuple,
         "criteria": _as_tuple,
-        "mode_counts": _as_tuple,
+        "mode_counts": lambda values: tuple(map(_integer, _as_tuple(values))),
         "cases": _as_tuple,
         **{key: (lambda value: value) for key in _OBJECTS},  # parsed below
     })

@@ -10,11 +10,10 @@ Two evaluation backends are provided and kept deliberately independent:
   ``<n|:n^m exp(-s n):|n> = n!/(n-m)! (1-s)^(n-m)`` and serves as the
   brute-force oracle for the analytic backend.
 
-The carrier for all detector quantities is :class:`NOExpr`: a sum of terms
+Both evaluate a :class:`NOExpr`: a sum of terms
 ``coeff * :G^power exp(-decay G):`` with the affine response
 ``G = rate * n + offset`` (``offset`` models dark counts).  Normal ordering
-makes these behave like scalar functions of the photon number, so products
-and powers expand termwise.
+makes these behave like scalar functions of the photon number.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ _FOCK_CAP = 960
 class NOExpr:
     """Normally ordered expression sum_t coeff_t :G^power_t exp(-decay_t G):.
 
-    ``G = rate * n + offset`` is shared by all terms.  The algebra is closed
-    under addition and multiplication (powers add, decays add), with the
-    constant term ``(1, 0, 0)`` as the multiplicative identity.
+    ``G = rate * n + offset`` is shared by all terms, which are kept sorted
+    by (power, decay, coeff).  There is no expression arithmetic: the
+    package builds monomials and the pnr outcome operators from their terms.
     """
 
     terms: tuple[tuple[float, int, float], ...]
@@ -68,96 +67,10 @@ class NOExpr:
         canon.sort(key=lambda t: (t[1], t[2], t[0]))
         object.__setattr__(self, "terms", tuple(canon))
 
-    # -- constructors
-
     @classmethod
     def monomial(cls, coeff: float, power: int, decay: float,
                  rate: float, offset: float = 0.0) -> "NOExpr":
         return cls(((coeff, power, decay),), rate, offset)
-
-    @classmethod
-    def one(cls, rate: float, offset: float = 0.0) -> "NOExpr":
-        return cls(((1.0, 0, 0.0),), rate, offset)
-
-    @classmethod
-    def constant(cls, value: float, rate: float, offset: float = 0.0) -> "NOExpr":
-        return cls(((float(value), 0, 0.0),), rate, offset)
-
-    # -- algebra
-
-    def _require_compatible(self, other: "NOExpr") -> None:
-        if self.rate != other.rate or self.offset != other.offset:
-            raise ValueError(
-                "cannot combine expressions with different responses: "
-                f"({self.rate}, {self.offset}) vs ({other.rate}, {other.offset})"
-            )
-
-    @classmethod
-    def _from_acc(cls, acc: dict, rate: float, offset: float) -> "NOExpr":
-        terms = tuple(
-            (coeff, power, decay)
-            for (power, decay), coeff in acc.items()
-            if coeff != 0.0
-        )
-        return cls(terms, rate, offset)
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = NOExpr.constant(other, self.rate, self.offset)
-        if not isinstance(other, NOExpr):
-            return NotImplemented
-        self._require_compatible(other)
-        acc: dict = {}
-        for coeff, power, decay in self.terms + other.terms:
-            key = (power, decay)
-            acc[key] = acc.get(key, 0.0) + coeff
-        return NOExpr._from_acc(acc, self.rate, self.offset)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NOExpr(
-            tuple((-c, p, d) for c, p, d in self.terms), self.rate, self.offset
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = NOExpr.constant(other, self.rate, self.offset)
-        if not isinstance(other, NOExpr):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return NOExpr(
-                tuple((c * other, p, d) for c, p, d in self.terms),
-                self.rate,
-                self.offset,
-            )
-        if not isinstance(other, NOExpr):
-            return NotImplemented
-        self._require_compatible(other)
-        acc: dict = {}
-        for c1, p1, d1 in self.terms:
-            for c2, p2, d2 in other.terms:
-                key = (p1 + p2, d1 + d2)
-                acc[key] = acc.get(key, 0.0) + c1 * c2
-        return NOExpr._from_acc(acc, self.rate, self.offset)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("expression powers must be nonnegative integers")
-        out = NOExpr.one(self.rate, self.offset)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    # -- evaluation
 
     def values(self, x, extra=0j) -> np.ndarray:
         """sum_t coeff_t y^power_t exp(extra - decay_t y) at y = rate x + offset.
@@ -473,17 +386,9 @@ def expect_fock(state, expr: NOExpr) -> float:
     for coeff, power, decay in expr.terms:
         shrink = 1.0 - decay * rate
         dark = math.exp(-decay * offset)
-        if offset == 0.0:
-            qs = (power,)
-        else:
-            qs = range(power + 1)
-        for q in qs:
-            if offset == 0.0:
-                prefactor = rate ** power
-            else:
-                prefactor = (
-                    math.comb(power, q) * offset ** (power - q) * rate ** q
-                )
+        for q in range(power + 1):
+            # without an offset only q = power is left, as 0.0 ** 0 == 1.0
+            prefactor = math.comb(power, q) * offset ** (power - q) * rate ** q
             if prefactor == 0.0:
                 continue
             ff = np.ones_like(ns)
@@ -503,9 +408,9 @@ def to_fock(state: StateSpec, n_max: int | None = None):
     """Fock-basis representation of a single-mode state.
 
     Coherent superpositions expand exactly as
-    ``c_n = sum_i w_i exp(-|a_i|^2/2) a_i^n / sqrt(n!)``.  When ``n_max`` is
-    omitted it is raised automatically until the truncated tail probability
-    drops below 1e-14; a tail above that with an explicit ``n_max`` raises.
+    ``c_n = sum_i w_i exp(-|a_i|^2/2) a_i^n / sqrt(n!)``, truncated where a
+    bound on the dropped probability (:func:`_tail_bound`) is below 1e-14:
+    at ``n_max``, or else at the first of n = 60, 120, ..., 960 that passes.
     """
     if isinstance(state, FockVector):
         return state
@@ -516,38 +421,39 @@ def to_fock(state: StateSpec, n_max: int | None = None):
     if state.modes != 1:
         raise ValueError("to_fock supports single-mode states only")
 
-    def coefficients(limit: int) -> list[complex]:
-        coeffs = [0j] * (limit + 1)
-        for w, (a,) in zip(state.weights, state.amplitudes):
-            if a == 0j:
-                coeffs[0] += w
-                continue
-            log_a = cmath.log(a)
-            base = -0.5 * abs(a) ** 2
-            for n in range(limit + 1):
-                coeffs[n] += w * cmath.exp(base + n * log_a - 0.5 * math.lgamma(n + 1))
-        return coeffs
-
-    if n_max is not None:
-        coeffs = coefficients(n_max)
-        tail = 1.0 - sum(abs(c) ** 2 for c in coeffs)
-        if tail > _TAIL_TOL:
-            raise ValueError(
-                f"n_max={n_max} truncates tail probability {tail:.3e} > {_TAIL_TOL}"
-            )
-        return FockVector(tuple(coeffs))
-
-    limit = _FOCK_START
-    while True:
-        coeffs = coefficients(limit)
-        tail = 1.0 - sum(abs(c) ** 2 for c in coeffs)
-        if tail <= _TAIL_TOL:
-            return FockVector(tuple(coeffs))
-        if limit >= _FOCK_CAP:
-            raise ValueError(
-                f"tail probability {tail:.3e} still above {_TAIL_TOL} at n={limit}"
-            )
+    limit = _FOCK_START if n_max is None else n_max
+    while (tail := _tail_bound(state, limit)) > _TAIL_TOL:
+        if n_max is not None or limit >= _FOCK_CAP:
+            raise ValueError(f"truncating at n={limit} drops tail probability up to "
+                             f"{tail:.3e} > {_TAIL_TOL}")
         limit *= 2
+    coeffs = [0j] * (limit + 1)
+    for w, (a,) in zip(state.weights, state.amplitudes):
+        if a == 0j:
+            coeffs[0] += w
+            continue
+        log_a = cmath.log(a)
+        base = -0.5 * abs(a) ** 2
+        for n in range(limit + 1):
+            coeffs[n] += w * cmath.exp(base + n * log_a - 0.5 * math.lgamma(n + 1))
+    return FockVector(tuple(coeffs))
+
+
+def _tail_bound(state: CoherentSuperposition, limit: int) -> float:
+    """Bound on sum_{n > limit} |c_n|^2 of a single-mode superposition, in log space.
+
+    |c_n| <= b_n = sum_i |w_i| exp(-|a_i|^2/2) |a_i|^n / sqrt(n!).  From
+    n >= 2 max|a_i|^2 on, b_{n+1}^2 <= b_n^2 / 2, so the terms past that
+    point add at most the last one.
+    """
+    parts = [(abs(w), abs(a)) for w, (a,) in zip(state.weights, state.amplitudes) if w and a]
+    if not parts:
+        return 0.0
+    ns = np.arange(limit + 1, max(limit + 1, math.ceil(2.0 * max(a for _, a in parts) ** 2)) + 1)
+    logs = 2.0 * np.logaddexp.reduce(
+        [math.log(w) - 0.5 * a * a + ns * math.log(a) for w, a in parts], axis=0
+    ) - np.array([math.lgamma(n + 1) for n in ns])
+    return math.exp(np.logaddexp.reduce(np.append(logs, logs[-1])))
 
 
 def expect_any(state: StateSpec, expr) -> float:
@@ -555,10 +461,5 @@ def expect_any(state: StateSpec, expr) -> float:
     if isinstance(state, Mixture):
         return sum(p * expect_any(part, expr) for p, part in state.parts)
     if isinstance(state, FockVector):
-        if not isinstance(expr, NOExpr):
-            exprs = tuple(expr)
-            if len(exprs) != 1:
-                raise ValueError("Fock states are single mode")
-            expr = exprs[0]
         return expect_fock(state, expr)
     return expect(state, expr)

@@ -18,6 +18,9 @@ sampler oracle draws every shot as a float uniform and binary-searches it in
 the float CDF; the package compares integer draws with integer thresholds
 through a bucket histogram.  It reuses the package's SplitMix64, which the
 sampler tests check against the pure-Python ``scalar_splitmix`` here.  The
+POVM expansion multiplies prod_j pi_j^{e_j} out in exact fractions; on Fock
+inputs it is evaluated without roundoff, the reference for the package's
+photon-number sum of nonnegative terms.  The
 distribution check and the CSV writer at the end take one probability and
 one row at a time; the package checks a whole distribution as an array and
 formats the cells that a CSV block shares once.
@@ -26,6 +29,7 @@ formats the cells that a CSV block shares once.
 import cmath
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -102,8 +106,11 @@ def series_coefficients(expr, k_max):
 
 def series_expect_fock(fock_probs, expr):
     """Expectation via the monomial series: <n|:x^k:|n> = n!/(n-k)!."""
-    n_max = len(fock_probs) - 1
-    coeffs = series_coefficients(expr, n_max)
+    return series_value(fock_probs, series_coefficients(expr, len(fock_probs) - 1))
+
+
+def series_value(fock_probs, coeffs):
+    """sum_n p_n sum_k a_k n!/(n-k)! of the series f(x) = sum_k a_k x^k."""
     total = 0.0
     for n, prob in enumerate(fock_probs):
         if prob == 0.0:
@@ -227,21 +234,80 @@ def pair_povm_product(state, rate, offset, levels, exponents):
     return total.real
 
 
+def _expanded_terms(levels, exponents):
+    """{(power, decays): Fraction} of prod_j pi_j^{e_j}, multiplied out term by term.
+
+    pi_j = :G^j/j! exp(-G): for j < K and pi_K = 1 - sum_{j<K} pi_j.
+    """
+    lower = [{(j, 1): Fraction(1, math.factorial(j))} for j in range(levels)]
+    last = {(0, 0): Fraction(1)}
+    for j in range(levels):
+        last[j, 1] = -Fraction(1, math.factorial(j))
+    product = {(0, 0): Fraction(1)}
+    for factor, e in zip(lower + [last], exponents):
+        for _ in range(e):
+            acc = {}
+            for (p1, d1), c1 in product.items():
+                for (p2, d2), c2 in factor.items():
+                    key = (p1 + p2, d1 + d2)
+                    acc[key] = acc.get(key, 0) + c1 * c2
+            product = {key: c for key, c in acc.items() if c != 0}
+    return product
+
+
 def expanded_povm_product(levels, exponents, rate, offset):
-    """Binomially expanded expression of prod_j pi_j^{e_j}."""
+    """Binomially expanded expression of prod_j pi_j^{e_j}, exact coefficients rounded once."""
     from clickwitness.states import NOExpr
 
-    lower = [
-        NOExpr.monomial(1.0 / math.factorial(j), j, 1.0, rate, offset)
-        for j in range(levels)
-    ]
-    last = NOExpr.one(rate, offset)
-    for expr in lower:
-        last = last - expr
-    out = NOExpr.one(rate, offset)
-    for expr, e in zip(lower + [last], exponents):
-        out = out * expr ** e
-    return out
+    terms = _expanded_terms(levels, exponents)
+    return NOExpr(
+        tuple((float(c), p, float(d)) for (p, d), c in terms.items()), rate, offset
+    )
+
+
+def fock_povm_reference(probs, cfg, exponents):
+    """sum_n p_n <n|:prod_j pi_j^{e_j}:|n> from the expanded product, without roundoff.
+
+    <n|:G^p exp(-d G):|n> = exp(-d nu) sum_q C(p, q) nu^(p-q) r^q (n)_q (1 - d r)^(n-q)
+    with G = r n + nu.  The total is sum_d A_d exp(-d nu), each A_d an exact
+    Fraction of the float inputs.  Without dark counts it is sum_d A_d, a
+    Fraction.  With them it is an mpmath number correct to 50 digits: the
+    alternating sum is evaluated at rising precision until two precisions
+    agree on a nonzero value; it is exactly 0 only when every A_d is, as
+    exp(-nu) is transcendental for rational nu > 0.
+    """
+    levels = 1 if cfg.levels is None else cfg.levels
+    rate = Fraction(cfg.efficiency) / cfg.bins
+    nu = Fraction(cfg.dark)
+    by_decay = {}
+    for (p, d), coeff in _expanded_terms(levels, exponents).items():
+        for n, prob in enumerate(probs):
+            value = sum(
+                math.comb(p, q) * nu ** (p - q) * rate ** q * math.perm(n, q)
+                * (1 - d * rate) ** (n - q)
+                for q in range(min(p, n) + 1)
+            )
+            by_decay[d] = by_decay.get(d, 0) + Fraction(prob) * coeff * value
+    if nu == 0:
+        return sum(by_decay.values(), Fraction(0))
+    if not any(by_decay.values()):
+        return Fraction(0)
+    import mpmath
+
+    def total(dps):
+        with mpmath.workdps(dps):
+            x = mpmath.mpf(nu.numerator) / nu.denominator
+            return sum(mpmath.mpf(a.numerator) / a.denominator * mpmath.exp(-d * x)
+                       for d, a in by_decay.items())
+
+    dps, value = 50, total(50)
+    while True:
+        dps *= 2
+        finer = total(dps)
+        if finer != 0 and abs(finer - value) <= mpmath.mpf(10) ** -50 * abs(finer):
+            with mpmath.workdps(50):
+                return +finer
+        value = finer
 
 
 # --------------------------------------------------------------------------

@@ -66,6 +66,18 @@ class TestScenarioParsing:
         ({"sets": [{"label": "a"}]}, "elements"),
         ({"sets": [[0, True]]}, "sets"),
         ({"kinds": "counts"}, "kinds"),
+        # numbers are taken as JSON gives them, never truncated or cast
+        ({"detector": {"model": "onoff", "bins": 5.9, "efficiency": 0.5}}, "bins"),
+        ({"detector": {"model": "pnr", "bins": 4, "levels": 2.0}}, "levels"),
+        ({"detector": {"model": "onoff", "bins": 5, "efficiency": True}}, "efficiency"),
+        ({"detector": {"model": "onoff", "bins": 5, "dark": "0.1"}}, "dark"),
+        ({"sweep": {"start": 0.1, "stop": 1.0, "points": 2.7}}, "points"),
+        ({"sweep": {"start": True, "stop": 1.0, "points": 3}}, "start"),
+        ({"state": {"kind": "cat", "parity": "both", "modes": True}}, "modes"),
+        ({"state": {"kind": "fock", "coefficients": [0.6, True]}}, "coefficients"),
+        ({"mode_counts": [2.5]}, "mode_counts"),
+        ({"mode_counts": ["2"]}, "mode_counts"),
+        ({"mode_counts": [True]}, "mode_counts"),
     ])
     def test_malformed_fields_raise_value_errors(self, changes, field):
         with pytest.raises(ValueError, match=field):
@@ -266,6 +278,19 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "sets" in err
+        assert not outdir.exists()
+
+    def test_fractional_scenario_number_exits_2(self, tmp_path, capsys):
+        doc = dict(TestScenarioParsing.BASE, criteria=["moment_ratio", "mean_photon_number"],
+                   mode_counts=[2.5], cases=["ii"])
+        del doc["detector"], doc["sets"]
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(doc))
+        outdir = tmp_path / "out"
+        code = main(["sweep", "--scenario", str(scenario_path), "--outdir", str(outdir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "mode_counts" in err
         assert not outdir.exists()
 
     def test_sample_command(self, tmp_path, capsys):

@@ -2,10 +2,11 @@ import itertools
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clickwitness.detectors import (
@@ -27,13 +28,19 @@ from clickwitness.detectors import (
 from clickwitness.states import (
     CoherentStack,
     FockVector,
+    Mixture,
     coherent_state,
     expect_any,
     make_cat,
     to_fock,
 )
 from helpers import random_cat, random_coherent, random_coherent_mixture
-from oracles import LOOP_MOMENTS, expanded_povm_product, loop_clean_probs
+from oracles import (
+    LOOP_MOMENTS,
+    expanded_povm_product,
+    fock_povm_reference,
+    loop_clean_probs,
+)
 
 
 class TestDetectorConfig:
@@ -543,3 +550,121 @@ class TestIntegerExponents:
         counts = click_distribution(self.CAT, self.ONOFF4)
         assert click_moment_from_counts(counts, np.int64(2)) == click_moment_from_counts(
             counts, 2)
+
+
+# --------------------------------------------------------------------------
+# the photon-number route of Fock-basis inputs
+
+DARK_COUNTS = [0.0, 1e-12, 0.05]
+
+
+@st.composite
+def fock_vectors(draw, top=8):
+    """A normalized Fock vector; many of its coefficients are exact zeros."""
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), min_size=1,
+                        max_size=top))
+    norm = math.sqrt(sum(c * c for c in raw))
+    assume(norm > 1e-3)
+    return FockVector(tuple(c / norm for c in raw))
+
+
+@st.composite
+def number_cases(draw):
+    """(state, config, rows): a Fock vector or mixture and rows with sum <= N."""
+    bins, levels = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    eta = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
+    dark = draw(st.sampled_from(DARK_COUNTS))
+    if levels == 1 and draw(st.booleans()):
+        cfg = DetectorConfig.onoff(bins, eta, dark)
+    else:
+        cfg = DetectorConfig.pnr(bins, levels, eta, dark)
+    if draw(st.booleans()):
+        state = draw(fock_vectors())
+    else:
+        parts = draw(st.lists(fock_vectors(top=6), min_size=2, max_size=3))
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(parts),
+                                max_size=len(parts)))
+        total = sum(weights)
+        state = Mixture(tuple((w / total, part) for w, part in zip(weights, parts)))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        left, row = bins, []
+        for _ in range(levels + 1):
+            row.append(draw(st.integers(0, left)))
+            left -= row[-1]
+        rows.append(tuple(draw(st.permutations(row))))
+    return state, cfg, rows
+
+
+def _number_reference(state, cfg, row):
+    """The exact (Fraction) or 50-digit (mpmath) reference of a Fock input."""
+    if isinstance(state, Mixture):
+        return sum(Fraction(p) * _number_reference(part, cfg, row) if cfg.dark == 0.0
+                   else p * _number_reference(part, cfg, row) for p, part in state.parts)
+    return fock_povm_reference(state.probabilities().tolist(), cfg, row)
+
+
+class TestNumberRoute:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(number_cases())
+    def test_matches_the_exact_references(self, case):
+        # Fractions for nu = 0, 50 mpmath digits for nu > 0; exact zeros stay zero
+        state, cfg, rows = case
+        for row, got in zip(rows, povm_product_value(state, cfg, rows)):
+            want = _number_reference(state, cfg, row)
+            if want == 0:
+                assert got == 0.0, (row, got)
+            else:
+                assert abs(got - float(want)) <= 1e-14 * abs(float(want)), (row, got, want)
+
+    @pytest.mark.parametrize("cfg", [
+        DetectorConfig.onoff(5, 0.6, 0.02),
+        DetectorConfig.pnr(4, 2, 0.6, 0.02),
+        DetectorConfig.pnr(5, 3, 0.6, 0.02),
+    ], ids=["onoff5", "pnr4_2", "pnr5_3"])
+    @pytest.mark.parametrize("alpha2", [0.1, 1.0, 9.0, 60.0])
+    def test_fock_expansion_of_a_cat_matches_the_pair_sums(self, cfg, alpha2):
+        rows = _exponent_rows(cfg)
+        for parity in ("even", "odd"):
+            cat = make_cat(math.sqrt(alpha2), parity)
+            want = povm_product_value(cat, cfg, rows)
+            got = povm_product_value(to_fock(cat), cfg, rows)
+            scale = max(abs(v) for v in want)
+            worst = max(abs(g - w) for g, w in zip(got, want))
+            assert worst <= 1e-12 * scale, (parity, worst, scale)
+
+    def test_highest_fock_state_is_finite(self):
+        coeffs = [0.0] * 961
+        coeffs[960] = 1.0
+        state = FockVector(tuple(coeffs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cfg in (DetectorConfig.onoff(8, 0.7, 0.01), DetectorConfig.pnr(8, 2, 0.7, 0.01)):
+                values = povm_product_value(state, cfg, _exponent_rows(cfg))
+                # probabilities, up to the rounding of their last sum
+                assert all(math.isfinite(v) and 0.0 <= v <= 1.0 + 1e-15 for v in values)
+            # one bin dark: every photon misses it and it has no dark count
+            value = povm_product_value(state, DetectorConfig.onoff(8, 0.7, 0.01), (1, 0))
+        assert value == pytest.approx((1.0 - 0.7 / 8) ** 960 * math.exp(-0.01), rel=1e-12)
+
+    def test_more_designated_bins_than_the_detector_has_are_rejected(self):
+        with pytest.raises(ValueError, match="at most N=4 bins"):
+            povm_product_value(FockVector((0.6, 0.0, 0.8)), DetectorConfig.onoff(4, 0.5),
+                               (3, 2))
+
+    def test_pnr_povm_terms_are_the_expanded_operators(self):
+        for levels in (1, 2, 3):
+            cfg = DetectorConfig.pnr(4, levels, 0.7, 0.01)
+            for j, op in enumerate(pnr_povm(cfg)):
+                unit = tuple(int(i == j) for i in range(levels + 1))
+                want = expanded_povm_product(levels, unit, cfg.gamma_rate, cfg.dark)
+                assert (op.terms, op.rate, op.offset) == (want.terms, want.rate, want.offset)
+        last = pnr_povm(DetectorConfig.pnr(4, 2, 0.5))[2]
+        assert last.terms == ((1.0, 0, 0.0), (-1.0, 0, 1.0), (-1.0, 1, 1.0))
+
+    @pytest.mark.parametrize("dark", [800.0, math.inf])
+    def test_dark_counts_beyond_float_range_are_rejected(self, dark):
+        # exp(-dark) underflows, so no dark-count probability is representable
+        with pytest.raises(ValueError, match="out of range"):
+            povm_product_value(FockVector((0.6, 0.0, 0.8)), DetectorConfig.onoff(4, 0.5, dark),
+                               (0, 2))

@@ -1,4 +1,4 @@
-"""Every public function and method of the package has a user outside the tests.
+"""The package's layout: who uses its functions, and what it imports.
 
 A public (no leading underscore) function at module level, or method in a
 class body, of ``src/clickwitness`` must be exported by ``__all__``,
@@ -6,10 +6,15 @@ referenced by the code in ``src/`` or ``scripts/``, or named by a lookup site
 of the benchmark tracer's ``HOOKS``.  Anything else serves only the tests and
 belongs in ``tests/``.  A reference is a name or an attribute with the
 function's name, wherever it appears; an import alone is none.
+
+Every import in the package is relative, from the standard library, or of
+a distribution that ``pyproject.toml`` declares, so that test-only tools
+such as mpmath or hypothesis never become runtime dependencies.
 """
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -90,3 +95,28 @@ def test_every_public_function_has_a_user(hooked):
 
 def test_the_allowlist_names_only_unused_functions(hooked):
     assert set(unused(hooked)) == set(ALLOWED)
+
+
+def declared_dependencies() -> set:
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        requirements = tomllib.load(handle)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+            for req in requirements}
+
+
+def test_imports_are_relative_stdlib_or_declared():
+    allowed = set(sys.stdlib_module_names) | declared_dependencies()
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert "numpy" in allowed
+    assert not foreign, f"undeclared imports in the package: {foreign}"

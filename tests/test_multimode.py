@@ -377,6 +377,16 @@ class TestMultimodeMatrices:
             multimode_matrices(state, elements, kind=kind)
         assert calls == []
 
+    @pytest.mark.parametrize("kind", ["moments", "counts"])
+    def test_stack_rejected_before_evaluation(self, kind, monkeypatch):
+        calls = []
+        monkeypatch.setattr(multimode, "joint_moment", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(multimode, "joint_counts", lambda *a, **k: calls.append(a))
+        [(_, stack)] = StateInput("cat", parity="odd", modes=2).stack((0.5, 1.0))
+        with pytest.raises(ValueError, match="takes one state"):
+            multimode_matrices(stack, ((0, 0), (1, 0)), kind=kind)
+        assert calls == []
+
     def test_set_at_dimension_cap_evaluates(self):
         state = coherent_state((0.3, 0.2), modes=2)
         elements = [(k, 0) for k in range(MAX_DIM)]
