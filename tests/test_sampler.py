@@ -127,19 +127,23 @@ class TestSample:
         assert type(run.seed) is int
         empirical_witness(run, ONOFF5, enumerate_index_sets(ONOFF5)[0], resamples=2)
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="the peak RSS of the child is read from /proc/self/status")
     def test_memory_bounded_at_shot_cap(self):
         # A fresh process, so that its peak RSS is the draw at the shot cap
-        # plus the import, not the rest of the suite.
+        # plus the import, not the rest of the suite.  Linux carries ru_maxrss
+        # across exec, so the child would report the suite's peak; VmHWM is
+        # the child's own.
         code = (
-            "import resource\n"
             "from clickwitness.detectors import DetectorConfig, pnr_distribution\n"
             "from clickwitness.sampler import _MAX_SHOTS, sample\n"
             "from clickwitness.states import make_cat\n"
             "cfg = DetectorConfig.pnr(8, 2, 0.5)\n"
             "dist = pnr_distribution(make_cat(1.0, 'odd'), cfg)\n"
             "run = sample(dist, _MAX_SHOTS, seed=3)\n"
-            "print(sum(run.counts), _MAX_SHOTS,"
-            " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "with open('/proc/self/status') as status:\n"
+            "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+            "print(sum(run.counts), _MAX_SHOTS, peak)\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)

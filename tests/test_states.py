@@ -284,6 +284,19 @@ class TestCoherentStack:
         with pytest.raises(ValueError):
             CoherentStack([coherent_state(1.0), coherent_state(1.0, modes=2)])
 
+    def test_photon_numbers_are_those_of_to_fock(self):
+        # one helper cuts and expands both; each row is zero past its own cut
+        rng = np.random.default_rng(9)
+        states = self.states(rng) + [make_cat(math.sqrt(70.0), "odd")]
+        probs = CoherentStack(states).photon_numbers
+        assert probs.shape == (len(states), 241)  # 70 photons on average need n = 240
+        for row, state in zip(probs, states):
+            want = to_fock(state).probabilities()
+            assert row[:len(want)] == pytest.approx(want, rel=1e-15, abs=1e-300)
+            assert not row[len(want):].any()
+        # the odd cat's even photon numbers cancel exactly
+        assert not probs[-1, ::2].any()
+
 
 class TestArrayStacks:
     """``StateInput.stack`` against the stack of the states ``build`` makes."""
