@@ -499,7 +499,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ValueError, OverflowError) as exc:
-        # OverflowError: photoelectric and multimode pair sums beyond float range.
+        # OverflowError: entries beyond float range at large amplitudes.
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
     except OSError as exc:

@@ -7,11 +7,11 @@
 
 Dark counts nu enter per bin through the affine response.  Photoelectric
 quantities are expectations of :class:`~.states.NOExpr` monomials; the
-multiplexed ones are POVM products.  :func:`povm_product_value` takes every
-single-mode input, a Fock vector, a mixture, a coherent superposition or a
-whole :class:`~.states.CoherentStack` of grid points, through one
-photon-number sum of nonnegative terms: the state's photon-number
-distribution times each product's value on the Fock states.
+multiplexed ones are POVM products.  :func:`povm_product_value` takes
+coherent superpositions through the product form, elementwise over a whole
+:class:`~.states.CoherentStack` of grid points and with the factors the
+products share (y, the tail series of pi_K, y^j/j!) computed once per
+call, and Fock-basis inputs through a photon-number sum of nonnegative terms.
 
 Measured statistics take the other route: every from-counts quantity, the
 ``*_moment_from_counts`` scalars and the entries of the from-counts witness
@@ -25,14 +25,12 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .numerics import MAX_EXACT_N, binom, falling_factorial, multinom
 from .states import (
-    _FOCK_LIMITS,
     CoherentStack,
     CoherentSuperposition,
     FockVector,
@@ -40,6 +38,7 @@ from .states import (
     NOExpr,
     StateSpec,
     expect_any,
+    pair_sum,
 )
 
 _NEG_TOL = 1e-14
@@ -188,123 +187,144 @@ def _moment_from_counts(counts: CountDistribution, s) -> float:
 
 
 # --------------------------------------------------------------------------
-# the photon-number route
+# stable evaluation of POVM power products
 #
-# A POVM product is sum_n p_n q_e(n), with p_n the photon-number distribution
-# and q_e(n) the product's value on |n>: each photon lands in a given bin with
-# probability eta / N, and a bin that holds c photons reads min(c + D, K),
-# D ~ Pois(nu).  All terms are nonnegative and every sum runs in a fixed
-# order, so a value does not depend on the other rows or points of its call.
+# Expanding (1 - exp(-G))^k binomially turns a quantity of size ~ gamma^k
+# into an alternating sum of order-one terms; for superpositions of +/-
+# amplitudes the component normalization further amplifies the roundoff by
+# ~ 1/|alpha|^2, which destroys small-amplitude sweeps.  Outcome and moment
+# evaluations therefore go through the product form directly, with the
+# per-factor exponentials folded into the coherent-overlap exponent.
 
 
-@lru_cache(maxsize=4)
-def _binomials(n: int) -> np.ndarray:
-    """C(m, c) for 0 <= c, m <= n, exact integers rounded once (0 for c > m)."""
-    table, row = np.zeros((n + 1, n + 1)), [1]
-    for m in range(n + 1):
-        table[m, :m + 1] = row
-        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
-    return table
+def _low_poly(y: np.ndarray, levels: int) -> np.ndarray:
+    """sum_{j < levels} y^j / j!"""
+    total = np.ones_like(y)
+    term = np.ones_like(y)
+    for j in range(1, levels):
+        term = term * (y / j)
+        total = total + term
+    return total
 
 
-def _shares(parts, wholes) -> np.ndarray:
-    """parts / wholes on the grid of 2^-53 (1 for 0 / 0), so that 1 - share is exact."""
-    return np.array([(2 ** 54 * p + w) // (2 * w) / 2 ** 53 if w else 1.0
-                     for p, w in zip(parts, wholes)])
+def _tail_series(y: np.ndarray, levels: int) -> np.ndarray:
+    """sum_{j >= levels} y^j / j!, accurate for |y| < 1.
 
-
-def _merge(first: np.ndarray, second: np.ndarray, share: np.ndarray) -> np.ndarray:
-    """sum_c C(m, c) share^c (1 - share)^(m-c) first[..., c] second[..., m - c], m <= n.
-
-    m photons split binomially between two groups of bins; ``share`` (one per
-    leading index) goes to the first, which holds at most first.shape[-1] - 1.
+    Each element stops taking terms once its last term falls below 1e-20
+    of its sum, or after 60 terms.
     """
-    n, held = second.shape[-1] - 1, first.shape[-1]
-    lead = np.broadcast_shapes(first.shape[:-1], second.shape[:-1], share.shape)
-    ks, rest = np.arange(n + 1), np.zeros(lead + (2 * n + 1,))
-    rest[..., n:] = second * (1.0 - share)[..., None] ** ks
-    step = rest.strides[-1]  # window[..., c, m] = rest[..., n + m - c], 0 for c > m
-    window = as_strided(rest[..., n:], lead + (held, n + 1), rest.strides[:-1] + (-step, step))
-    hits = (first * share[..., None] ** ks[:held])[..., None]
-    # in C order numpy sums pairwise only along m, so the c-sum runs in order
-    return np.add.reduce(np.multiply(_binomials(n).T[:held] * hits, window, order="C"), axis=-2)
+    term = y ** levels / math.factorial(levels)
+    total = term
+    active = np.ones(y.shape, dtype=bool)
+    for j in range(levels + 1, levels + 61):
+        term = term * (y / j)
+        total = np.where(active, total + term, total)
+        active &= np.abs(term) > 1e-20 * np.maximum(np.abs(total), 1e-300)
+        if not active.any():
+            break
+    return total
 
 
-@lru_cache(maxsize=8)
-def _level_tables(cfg: DetectorConfig, levels: int, n: int) -> np.ndarray:
-    """[j, e, m]: the chance that m photons spread over e bins at random leave all reading j.
+def _shared_factors(y: np.ndarray, rows: list, levels: int):
+    """The factors of :func:`_pair_product` that do not depend on the exponents.
 
-    e bins merge e - h and h of them, h the largest power of two below e.
-    Shared by the calls of one configuration and length, so read-only.
+    Returns ``powers`` with y^j/j! for each 0 < j < K that some row raises,
+    the mask ``small`` of |y| < 1, and ``last_factor``, which is pi_K(y)
+    from 1 - exp(-y) poly(y) where |y| >= 1 and the tail series, whose
+    exp(-y) is folded later, where |y| < 1.  ``small`` and ``last_factor``
+    are None when no row raises pi_K.
     """
-    pmf = [math.exp(-cfg.dark)]  # P(D = i), until the terms past K add nothing to P(D >= K)
-    if not pmf[0] > 0.0:
-        raise ValueError(f"dark parameter {cfg.dark} is out of range for the photon-number sum")
-    while len(pmf) <= levels or pmf[-1] > 1e-17 * sum(pmf[levels:]):
-        pmf.append(pmf[-1] * cfg.dark / len(pmf))
-    tables = np.zeros((levels + 1, cfg.bins + 1, n + 1))
-    tables[:, 0, 0] = tables[levels, 1] = 1.0
-    for c in range(min(levels, n + 1)):  # a bin that holds c photons
-        tables[c:levels, 1, c] = pmf[:levels - c]
-        tables[levels, 1, c] = sum(pmf[levels - c:])
-    half, chunk = 1, max(1, 2 ** 15 // (n + 1) ** 2)  # merges of few terms at once
-    while half < cfg.bins:
-        for first in range(half + 1, min(2 * half, cfg.bins) + 1, chunk):
-            es = np.arange(first, min(first + chunk, 2 * half + 1, cfg.bins + 1))
-            shares = _shares(es - half, es)
-            low = tables[:levels, es - half, :min((levels - 1) * half, n) + 1]  # < K per bin
-            tables[:levels, es] = _merge(low, tables[:levels, [half]], shares)
-            tables[levels, es] = _merge(tables[levels, es - half], tables[levels, [half]], shares)
-        half *= 2
-    tables.flags.writeable = False
-    return tables
+    powers = {
+        j: y ** j / math.factorial(j)
+        for j in range(1, levels) if any(row[j] for row in rows)
+    }
+    if not any(row[levels] for row in rows):
+        return powers, None, None
+    small = np.abs(y) < 1.0
+    # Each branch gets 0 where the other one applies, so the unused
+    # branch can neither overflow nor warn.
+    tail = _tail_series(np.where(small, y, 0.0), levels)
+    big = np.where(small, 0.0, y)
+    head = 1.0 - np.exp(-big) * _low_poly(big, levels)
+    return powers, small, np.where(small, tail, head)
 
 
-@lru_cache(maxsize=8)
-def _fock_values(cfg: DetectorConfig, levels: int, n: int, rows: tuple) -> np.ndarray:
-    """[k, t]: q_e(k) of exponent row t, (n+1, T), read-only.
+def _pair_product(y: np.ndarray, overlap_exp: np.ndarray, exponents: tuple[int, ...],
+                  levels: int, powers: dict, small, last_factor) -> np.ndarray:
+    """prod_j pi_j(y)^{e_j} times exp(overlap_exp), evaluated stably.
 
-    The s photons in a row's designated bins split binomially over its
-    levels, merged one by one; the bins below K hold at most ``held``.  Of k
-    photons s land there, a binomial sum taken one photon at a time.
+    pi_j(y) = y^j/j! exp(-y) for j < K and pi_K(y) = 1 - exp(-y) poly(y);
+    every exp(-y) factor is folded into the overlap exponent so that large
+    opposing exponents cancel analytically.  Where |y| < 1, pi_K comes from
+    the tail series, and its exp(-y) is folded too.  ``powers``, ``small``
+    and ``last_factor`` come from :func:`_shared_factors`.
     """
-    e = np.array(rows)
-    tables = _level_tables(cfg, levels, n)
-    inside, bins, held = tables[0, e[:, 0]], e[:, 0], 0
-    for j in range(1, levels + 1):
-        share = _shares(bins.tolist(), (bins + e[:, j]).tolist())
-        inside = _merge(inside[:, :min(held, n) + 1], tables[j, e[:, j]], share)
-        bins, held = bins + e[:, j], held + j * int(e[:, j].max())
+    folded = sum(exponents[:levels])
+    poly = np.ones_like(y)
+    for j in range(1, levels):
+        if exponents[j]:
+            poly = poly * powers[j] ** exponents[j]
+    last = exponents[levels]
+    if last:
+        poly = poly * last_factor ** last
+        folded = folded + np.where(small, last, 0)
+    return np.exp(overlap_exp - folded * y) * poly
+
+
+# --------------------------------------------------------------------------
+# photon-number route for Fock-basis inputs
+
+
+def _number_values(probs: np.ndarray, cfg: DetectorConfig, levels: int, rows: list) -> list:
+    """sum_n p_n q_e(n) for each exponent row e, with p_n along the last axis of ``probs``.
+
+    q_e(n), the row's value on |n>, is a probability: a bin that holds c
+    photons reads min(c + D, K) with D ~ Pois(nu) dark counts.  The sum(e)
+    <= N designated bins are filled one after another; the t-th takes each
+    photon still unplaced with probability eta / (N - (t-1) eta), rounded
+    once from exact integers.  u(k), the probability that k photons are
+    still unplaced and every bin so far read its level, is stepped with
+    binomial tables from Pascal's rule, each row divided by its sum against
+    the drift of the rounded (stay + land)^m.  Bins that read K come first,
+    so their dense steps are shared by all rows; a bin of level j < K keeps
+    at most j photons, so its step is banded.  Every term is nonnegative.
+    """
+    n, nu = probs.shape[-1] - 1, cfg.dark
     num, den = cfg.efficiency.as_integer_ratio()  # eta = num / den exactly
-    land = _shares([d * num for d in bins.tolist()], [cfg.bins * den] * len(e))
-    miss, inside, values = 1.0 - land, inside.T, np.empty((n + 1, len(e)))
-    for k in range(n + 1):
-        values[k] = inside[0]
-        inside = miss * inside[:-1] + land * inside[1:]
-    values.flags.writeable = False
+    pmf = [math.exp(-nu)]  # P(D = i), until the terms past K no longer add to P(D >= K)
+    if not pmf[0] > 0.0:
+        raise ValueError(f"dark parameter {nu} is out of range for a photon-number input")
+    while len(pmf) <= levels or pmf[-1] > 1e-17 * sum(pmf[levels:]):
+        pmf.append(pmf[-1] * nu / len(pmf))
+    top = max(row[levels] for row in rows)
+    chain, diagonals, table = [probs], {}, np.empty((n + 1, n + 1))
+    for t in range(1, max(map(sum, rows)) + 1):
+        rest = cfg.bins * den - (t - 1) * num
+        land, stay = num / rest, (rest - num) / rest  # int / int rounds once
+        table.fill(0.0)
+        table[0, 0] = 1.0  # table[m, k]: k of m photons stay out of bin t
+        for m in range(1, n + 1):
+            table[m, 1:m + 1] = stay * table[m - 1, :m]
+            table[m, :m] += land * table[m - 1, :m]
+        table /= table.sum(axis=1, keepdims=True)
+        cells = [(np.arange(c, n + 1), np.arange(n + 1 - c)) for c in range(min(levels, n + 1))]
+        diagonals[t] = [table[cell] for cell in cells]  # c of k + c photons land
+        if t <= top:
+            for c, cell in enumerate(cells):
+                table[cell] *= sum(pmf[levels - c:])
+            chain.append(chain[-1] @ table)
+    values = []
+    for row in rows:
+        u, t = chain[row[levels]], row[levels]
+        for j in range(levels):
+            for _ in range(row[j]):
+                t += 1
+                out = np.zeros_like(u)
+                for c in range(min(j, n) + 1):
+                    out[..., :n + 1 - c] += pmf[j - c] * diagonals[t][c] * u[..., c:]
+                u = out
+        values.append(u.sum(axis=-1))
     return values
-
-
-def _photon_numbers(state) -> np.ndarray:
-    """Photon-number distributions, one row per grid point of a stack, else one row."""
-    if state.modes != 1:
-        raise ValueError("detector models address a single mode")
-    if isinstance(state, CoherentStack):
-        probs = state.photon_numbers
-    elif isinstance(state, CoherentSuperposition):
-        probs = CoherentStack([state]).photon_numbers
-    elif isinstance(state, FockVector):
-        probs = state.probabilities()[None]
-    elif isinstance(state, Mixture):
-        parts = [(p, _photon_numbers(part)) for p, part in state.parts]
-        probs = np.zeros((1, max(q.shape[1] for _, q in parts)))
-        for p, q in parts:
-            probs[:, :q.shape[1]] += p * q
-    else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    if probs.shape[1] > _FOCK_LIMITS[-1] + 1:  # C(n, n/2) overflows past n = 1029
-        raise ValueError(f"photon numbers are capped at n={_FOCK_LIMITS[-1]}")
-    return probs
 
 
 def _as_exponent(e) -> int:
@@ -315,18 +335,48 @@ def _as_exponent(e) -> int:
         raise ValueError(f"exponent {e!r} is not an integer") from None
 
 
+def _povm_values(state, cfg: DetectorConfig, levels: int, rows: list) -> list:
+    """One :func:`povm_product_value` per validated exponent row, in order."""
+    if isinstance(state, Mixture):
+        parts = [(p, _povm_values(part, cfg, levels, rows)) for p, part in state.parts]
+        return [sum(p * values[q] for p, values in parts) for q in range(len(rows))]
+    if isinstance(state, FockVector):
+        return [float(v) for v in _number_values(state.probabilities(), cfg, levels, rows)]
+    if isinstance(state, CoherentSuperposition):
+        return [
+            float(value[0])
+            for value in _povm_values(CoherentStack([state]), cfg, levels, rows)
+        ]
+    if not isinstance(state, CoherentStack):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    if state.modes != 1:
+        raise ValueError("detector models address a single mode")
+    y = cfg.gamma_rate * state.x[..., 0] + cfg.dark
+    overlap = state.overlap[..., 0]
+    # an overflow is reported by pair_sum, with the grid points it hit
+    with np.errstate(over="ignore", invalid="ignore"):
+        shared = _shared_factors(y, rows, levels)
+    values = []
+    for row in rows:
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = state.pair * _pair_product(y, overlap, row, levels, *shared)
+        values.append(pair_sum(terms))
+    return values
+
+
 def povm_product_value(state, cfg: DetectorConfig, exponents):
-    """Expectation <: pi_0^{e_0} ... pi_K^{e_K} :> as a photon-number sum.
+    """Expectation <: pi_0^{e_0} ... pi_K^{e_K} :> via the product form.
 
     The on-off model is the K = 1 case with exponents (no-click, click);
-    the exponents address at most N bins.  Every state goes through
-    sum_n p_n q_e(n), whose terms are all nonnegative.  A
+    the exponents address at most N bins.  Fock-basis states go through the
+    photon-number sum of :func:`_number_values`, whose terms are all
+    nonnegative.  A
     :class:`~.states.CoherentStack` gives an array with one value per grid
     point; a single superposition is the one-point stack.
 
     ``exponents`` is one tuple, or a sequence of tuples that gives a list
-    with one value per tuple, in order.  The sum over n runs in order, in
-    chunks of at most 2^15 terms, each started from the sum before it.
+    with one value per tuple, in order.  The factors that all tuples share
+    are then computed once per call.
     """
     if cfg.model == PHOTOELECTRIC:
         raise ValueError("POVM products apply to the multiplexed models")
@@ -341,17 +391,7 @@ def povm_product_value(state, cfg: DetectorConfig, exponents):
             raise ValueError(f"need {levels + 1} nonnegative exponents, got {row}")
         if sum(row) > cfg.bins:
             raise ValueError(f"exponents address at most N={cfg.bins} bins, got {row}")
-    probs = _photon_numbers(state)
-    fock = _fock_values(cfg, levels, probs.shape[1] - 1, tuple(rows))
-    values = np.zeros((len(probs), len(rows)))
-    step = max(1, 2 ** 15 // values.size)
-    for lo in range(0, probs.shape[1], step):
-        terms = probs[:, lo:lo + step].T[:, :, None] * fock[lo:lo + step, None, :]
-        terms[0] += values
-        values = np.cumsum(terms, axis=0, out=terms)[-1]
-    values = list(values.T)
-    if not isinstance(state, CoherentStack):
-        values = [float(value[0]) for value in values]
+    values = _povm_values(state, cfg, levels, rows)
     return values if batch else values[0]
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -29,7 +28,8 @@ import numpy as np
 _NORM_TOL = 1e-12
 _IMAG_TOL = 1e-10
 _TAIL_TOL = 1e-14
-_FOCK_LIMITS = (60, 120, 240, 480, 960)
+_FOCK_START = 60
+_FOCK_CAP = 960
 
 
 # --------------------------------------------------------------------------
@@ -299,13 +299,14 @@ class CoherentStack:
     def check_normalized(self, points: Sequence) -> None:
         """Raise ValueError naming the first of ``points`` whose state is not normalized.
 
-        <psi|psi> must be 1 to 1e-12 at every grid point, as for a single
-        :class:`CoherentSuperposition`.  A single-mode stack sums its
-        :attr:`photon_numbers`, whose terms are all nonnegative; a multimode
-        one sums conj(w_i) w_j <a_i|a_j> over the component pairs.
+        <psi|psi> = sum_ij conj(w_i) w_j <a_i|a_j> must be 1 to 1e-12 at
+        every grid point, as for a single :class:`CoherentSuperposition`.
         """
-        norms = (self.photon_numbers.sum(axis=1) if self.modes == 1 else
-                 (self.pair * np.exp(self.overlap.sum(axis=-1))).sum(axis=(1, 2)))
+        # sum_ij conj(w_i) w_j = |sum_i w_i|^2 is taken apart from the rest,
+        # conj(w_i) w_j (<a_i|a_j> - 1), so that components of opposite sign
+        # at small amplitude (an odd cat) do not cancel to 0.
+        norms = np.abs(self.weights.sum(axis=1)) ** 2 + (
+            self.pair * np.expm1(self.overlap.sum(axis=-1))).sum(axis=(1, 2))
         bad = np.flatnonzero(np.abs(norms - 1.0) > _NORM_TOL)
         if bad.size:
             g = bad[0]
@@ -316,12 +317,6 @@ class CoherentStack:
     @property
     def modes(self) -> int:
         return self.amplitudes.shape[2]
-
-    @cached_property
-    def photon_numbers(self) -> np.ndarray:
-        """|c_n|^2 of a single-mode stack, (G, n+1); see :func:`_fock_amplitudes`."""
-        coeffs = _fock_amplitudes(self.weights, self.amplitudes[..., 0])
-        return np.abs(coeffs) ** 2
 
 
 def pair_sum(terms: np.ndarray) -> np.ndarray:
@@ -416,8 +411,10 @@ def expect_fock(state, expr: NOExpr) -> float:
 def to_fock(state: StateSpec, n_max: int | None = None):
     """Fock-basis representation of a single-mode state.
 
-    Coherent superpositions expand by :func:`_fock_amplitudes`, as the
-    photon numbers of a :class:`CoherentStack` do.
+    Coherent superpositions expand exactly as
+    ``c_n = sum_i w_i exp(-|a_i|^2/2) a_i^n / sqrt(n!)``, truncated where a
+    bound on the dropped probability (:func:`_tail_bound`) is below 1e-14:
+    at ``n_max``, or else at the first of n = 60, 120, ..., 960 that passes.
     """
     if isinstance(state, FockVector):
         return state
@@ -427,66 +424,40 @@ def to_fock(state: StateSpec, n_max: int | None = None):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     if state.modes != 1:
         raise ValueError("to_fock supports single-mode states only")
-    amplitudes = np.array([[a for (a,) in state.amplitudes]])
-    return FockVector(tuple(_fock_amplitudes(np.array([state.weights]), amplitudes, n_max)[0]))
+
+    limit = _FOCK_START if n_max is None else n_max
+    while (tail := _tail_bound(state, limit)) > _TAIL_TOL:
+        if n_max is not None or limit >= _FOCK_CAP:
+            raise ValueError(f"truncating at n={limit} drops tail probability up to "
+                             f"{tail:.3e} > {_TAIL_TOL}")
+        limit *= 2
+    coeffs = [0j] * (limit + 1)
+    for w, (a,) in zip(state.weights, state.amplitudes):
+        if a == 0j:
+            coeffs[0] += w
+            continue
+        log_a = cmath.log(a)
+        base = -0.5 * abs(a) ** 2
+        for n in range(limit + 1):
+            coeffs[n] += w * cmath.exp(base + n * log_a - 0.5 * math.lgamma(n + 1))
+    return FockVector(tuple(coeffs))
 
 
-def _fock_amplitudes(weights: np.ndarray, amplitudes: np.ndarray,
-                     n_max: int | None = None) -> np.ndarray:
-    """c_n = sum_i w_i exp(-|a_i|^2/2) a_i^n / sqrt(n!) of (G, C) single-mode arrays.
-
-    Each point is cut where :func:`_tail_bound` puts the dropped probability
-    at or below 1e-14: at ``n_max``, or else at the first of n = 60, 120,
-    ..., 960 that passes; its row is zero past its own cut, so that it does
-    not depend on the other points.  a^n / sqrt(n!) is a running product,
-    so the terms of a and -a have equal magnitudes: a cat's parity zeros
-    are exact.
-    """
-    limits = _FOCK_LIMITS if n_max is None else (n_max,)
-    reach = max(limits[-1], _FOCK_LIMITS[-1])  # the bound sums terms up to 2 max|a|^2
-    top = np.where(weights != 0.0, np.abs(amplitudes) ** 2, 0.0).max(axis=1)
-    if (top > reach).any():
-        raise ValueError(f"|alpha|^2 = {top.max():.6g} needs photon numbers past n={reach}")
-    cut = np.full(len(weights), -1)
-    for limit in limits:
-        todo = np.flatnonzero(cut < 0)
-        tail = _tail_bound(weights[todo], amplitudes[todo], limit)
-        cut[todo[tail <= _TAIL_TOL]] = limit
-        if (cut >= 0).all():
-            break
-    else:
-        raise ValueError(f"truncating at n={limit} drops tail probability up to "
-                         f"{tail[tail > _TAIL_TOL][0]:.3e} > {_TAIL_TOL}")
-    if not (weights.imag.any() or amplitudes.imag.any()):  # the same values, faster
-        weights, amplitudes = weights.real, amplitudes.real
-    terms = np.empty(amplitudes.shape + (cut.max() + 1,), np.result_type(weights, amplitudes))
-    terms[..., 0] = weights * np.exp(-0.5 * np.abs(amplitudes) ** 2)
-    np.multiply(amplitudes[..., None], 1.0 / np.sqrt(np.arange(1, cut.max() + 1)),
-                out=terms[..., 1:])
-    coeffs = sum(np.cumprod(terms, axis=-1, out=terms).transpose(1, 0, 2))
-    coeffs[np.arange(cut.max() + 1) > cut[:, None]] = 0.0
-    return coeffs
-
-
-def _tail_bound(weights: np.ndarray, amplitudes: np.ndarray, limit: int) -> np.ndarray:
-    """Bound on sum_{n > limit} |c_n|^2 at each point of (G, C) arrays, in log space.
+def _tail_bound(state: CoherentSuperposition, limit: int) -> float:
+    """Bound on sum_{n > limit} |c_n|^2 of a single-mode superposition, in log space.
 
     |c_n| <= b_n = sum_i |w_i| exp(-|a_i|^2/2) |a_i|^n / sqrt(n!).  From
     n >= 2 max|a_i|^2 on, b_{n+1}^2 <= b_n^2 / 2, so the terms past that
     point add at most the last one.
     """
-    size, amp = np.abs(weights), np.abs(amplitudes)
-    live = (size > 0.0) & (amp > 0.0)
-    with np.errstate(divide="ignore"):
-        base = np.where(live, np.log(size) - 0.5 * amp ** 2, -np.inf)[..., None]
-    log_a = np.log(np.where(live, amp, 1.0))[..., None]
-    stop = np.maximum(limit + 1, np.ceil(2.0 * np.where(live, amp, 0.0).max(axis=1) ** 2))
-    ns = np.arange(limit + 1, int(stop.max(initial=limit + 1)) + 1)
-    logs = 2.0 * np.logaddexp.reduce(base + ns * log_a, axis=1) - np.array(
-        [math.lgamma(n + 1) for n in ns])
-    logs = np.where(ns <= stop[:, None], logs, -np.inf)
-    last = logs[np.arange(len(logs)), stop.astype(int) - limit - 1]
-    return np.exp(np.logaddexp(np.logaddexp.reduce(logs, axis=1), last))
+    parts = [(abs(w), abs(a)) for w, (a,) in zip(state.weights, state.amplitudes) if w and a]
+    if not parts:
+        return 0.0
+    ns = np.arange(limit + 1, max(limit + 1, math.ceil(2.0 * max(a for _, a in parts) ** 2)) + 1)
+    logs = 2.0 * np.logaddexp.reduce(
+        [math.log(w) - 0.5 * a * a + ns * math.log(a) for w, a in parts], axis=0
+    ) - np.array([math.lgamma(n + 1) for n in ns])
+    return math.exp(np.logaddexp.reduce(np.append(logs, logs[-1])))
 
 
 def expect_any(state: StateSpec, expr) -> float:

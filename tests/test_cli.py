@@ -329,30 +329,18 @@ class TestMainEntry:
             assert capsys.readouterr().err.startswith("error: ")
 
     def test_odd_cat_at_tiny_amplitude_writes_its_rows(self, tmp_path):
-        # the photon numbers of the stack sum to one without cancellation
+        # its normalization sums no terms of opposite sign
         code = main([
             "sweep", "--state", "cat", "--parity", "odd", "--model", "onoff",
             "--bins", "5", "--start", "1e-17", "--stop", "1e-16", "--points", "2",
             "--outdir", str(tmp_path),
         ])
         assert code == 0
-        paths = list(tmp_path.glob("*.csv"))
+        paths = sorted(tmp_path.glob("*.csv"))
         assert len(paths) == 2
         for path in paths:
             rows = list(csv.DictReader(path.read_text().splitlines()))
             assert len(rows) == 2 and all(math.isfinite(float(r["value"])) for r in rows)
-
-    def test_overflow_at_large_amplitude_exits_2(self, tmp_path, capsys):
-        # Poisson(800) has ~4e-8 of its mass above n = 960, the truncation cap
-        code = main([
-            "sweep", "--state", "cat", "--parity", "odd", "--model", "onoff",
-            "--bins", "1", "--efficiency", "1", "--start", "800", "--stop", "900",
-            "--points", "2", "--outdir", str(tmp_path),
-        ])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: truncating at n=960") and "Traceback" not in err
-        assert not list(tmp_path.rglob("*.csv"))
 
     def test_non_finite_dark_counts_exit_2(self, tmp_path, capsys):
         code = main([
@@ -360,8 +348,20 @@ class TestMainEntry:
             "--bins", "5", "--dark", "nan", "--points", "2", "--outdir", str(tmp_path),
         ])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: dark parameter nan")
+        assert capsys.readouterr().err.startswith("error: dark parameter nan is out of range")
         assert not list(tmp_path.rglob("*"))
+
+    def test_overflow_at_large_amplitude_exits_2(self, tmp_path, capsys):
+        # exp(|alpha|^2 eta / N) overflows in the pair sums (ROADMAP item 2).
+        code = main([
+            "sweep", "--state", "cat", "--parity", "odd", "--model", "onoff",
+            "--bins", "1", "--efficiency", "1", "--start", "800", "--stop", "900",
+            "--points", "2", "--outdir", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.parametrize("flags, label, dim", [
         (["--model", "onoff", "--bins", "32"], "integer", 17),

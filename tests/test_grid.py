@@ -3,9 +3,8 @@
 ``cli.run`` evaluates a scenario as arrays over its whole grid.  The
 oracle re-evaluates every written row at its own grid point, one component
 pair at a time (``oracles.py``), and takes each eigenvalue from its own
-matrix.  Values must agree within 1e-13 of each file's largest |value|, plus
-for a smallest eigenvalue the rounding floor EIG_FLOOR, and verdicts must be
-identical on every row.
+matrix.  Values must agree within 1e-13 of each file's largest |value|, and
+verdicts must be identical on every row.
 """
 
 import csv
@@ -30,12 +29,6 @@ from oracles import fock_povm_reference, pair_expect, pair_povm_product
 
 REL_TOL = 1e-13
 SUBGRID_POINTS = 7
-# Entries that two routes round differently by a few ulps move the smallest
-# eigenvalue of a d x d matrix by up to about d ulps of max|entry| (Weyl), and
-# eigvalsh rounds by as much again.  Below that floor min_eig is not set by
-# the entries, which is all there is of it where a matrix is singular (the
-# rank-one matrices of coherent light, the odd cat's half set).
-EIG_FLOOR = 8 * np.finfo(float).eps
 
 # First-mode exponents of the pair sum, 2n and 2m for each ratio case.
 CASE_EXPONENTS = {"i": (2, 0, 4), "ii": (1, 0, 2), "iii": (2, 1, 3), "iv": (3, 1, 5)}
@@ -77,8 +70,7 @@ def _witness_point(state, cfg, kind, iset):
             matrix[i, j] = matrix[j, i] = _entry(state, cfg, kind, labels[i], labels[j])
     min_eig = float(np.linalg.eigvalsh(matrix)[0])
     nonclassical = min_eig < -1e-10 * np.abs(matrix).max()
-    floor = EIG_FLOOR * dim * np.abs(matrix).max()
-    return min_eig, "nonclassical" if nonclassical else "no_violation", floor
+    return min_eig, "nonclassical" if nonclassical else "no_violation"
 
 
 def _joint_moment(state, exponents):
@@ -96,9 +88,9 @@ def _ratio_point(state, case, modes):
     numer = _joint_moment(state, pair) ** 2
     denom = _joint_moment(state, two_n) * _joint_moment(state, two_m)
     if denom == 0.0:
-        return math.nan, "indeterminate", 0.0
+        return math.nan, "indeterminate"
     ratio = numer / denom
-    return ratio, "nonclassical" if ratio > 1.0 + 1e-10 else "no_violation", 0.0
+    return ratio, "nonclassical" if ratio > 1.0 + 1e-10 else "no_violation"
 
 
 def _mean_point(state, modes):
@@ -123,7 +115,7 @@ def _oracle(scenario, row):
         case = row["set_id"].split("_")[1]
         return _ratio_point(state, case, modes)
     if criterion == "mean_photon_number":
-        return _mean_point(state, modes), "", 0.0
+        return _mean_point(state, modes), ""
     kind = criterion.split("_")[0]
     iset = _index_sets(scenario)[row["set_id"]]
     return _witness_point(state, scenario.detector, kind, iset)
@@ -137,15 +129,15 @@ def _check_against_oracle(scenario, outdir):
         rows = _rows(path)
         assert {float(r["grid_value"]) for r in rows} == set(grid)
         want = [_oracle(scenario, row) for row in rows]
-        scale = max(abs(value) for value, _, _ in want if math.isfinite(value))
-        for row, (value, verdict, floor) in zip(rows, want):
+        scale = max(abs(value) for value, _ in want if math.isfinite(value))
+        for row, (value, verdict) in zip(rows, want):
             where = f"{path.name} @ {row['grid_value']} {row['state']}"
             assert row["verdict"] == verdict, where
             got = float(row["value"])
             if math.isnan(value):
                 assert math.isnan(got), where
             else:
-                assert abs(got - value) <= REL_TOL * scale + floor, (where, got, value)
+                assert abs(got - value) <= REL_TOL * scale, (where, got, value)
     return paths
 
 

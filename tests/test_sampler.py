@@ -128,12 +128,12 @@ class TestSample:
         empirical_witness(run, ONOFF5, enumerate_index_sets(ONOFF5)[0], resamples=2)
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
-                        reason="the peak RSS of the child is read from /proc/self/status")
+                        reason="the child's peak RSS is read from /proc/self/status")
     def test_memory_bounded_at_shot_cap(self):
         # A fresh process, so that its peak RSS is the draw at the shot cap
         # plus the import, not the rest of the suite.  Linux carries ru_maxrss
-        # across exec, so the child would report the suite's peak; VmHWM is
-        # the child's own.
+        # across exec, so the child would report the suite's peak; its VmHWM
+        # is its own.
         code = (
             "from clickwitness.detectors import DetectorConfig, pnr_distribution\n"
             "from clickwitness.sampler import _MAX_SHOTS, sample\n"

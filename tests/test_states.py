@@ -284,19 +284,6 @@ class TestCoherentStack:
         with pytest.raises(ValueError):
             CoherentStack([coherent_state(1.0), coherent_state(1.0, modes=2)])
 
-    def test_photon_numbers_are_those_of_to_fock(self):
-        # one helper cuts and expands both; each row is zero past its own cut
-        rng = np.random.default_rng(9)
-        states = self.states(rng) + [make_cat(math.sqrt(70.0), "odd")]
-        probs = CoherentStack(states).photon_numbers
-        assert probs.shape == (len(states), 241)  # 70 photons on average need n = 240
-        for row, state in zip(probs, states):
-            want = to_fock(state).probabilities()
-            assert row[:len(want)] == pytest.approx(want, rel=1e-15, abs=1e-300)
-            assert not row[len(want):].any()
-        # the odd cat's even photon numbers cancel exactly
-        assert not probs[-1, ::2].any()
-
 
 class TestArrayStacks:
     """``StateInput.stack`` against the stack of the states ``build`` makes."""
@@ -373,6 +360,16 @@ class TestArrayStacks:
         stack = CoherentStack.from_arrays(weights[:1] * (1.0 + 4e-13),
                                           np.zeros((1, 1, 1), dtype=complex))
         stack.check_normalized(["a"])
+
+    def test_odd_cat_at_tiny_amplitude_is_normalized(self):
+        # its weights cancel in sum_ij conj(w_i) w_j, which is taken apart
+        grid = (1e-17, 1e-10, 1e-4)
+        (label, stack), = StateInput("cat", parity="odd").stack(grid)
+        assert label == "cat_odd" and len(stack.weights) == len(grid)
+        off = CoherentStack.from_arrays(stack.weights * np.array([[1.0], [1.0 + 1e-9], [1.0]]),
+                                        stack.amplitudes)
+        with pytest.raises(ValueError, match=r"at 1e-10 is not normalized"):
+            off.check_normalized(grid)
 
 
 def photon_number_support(state, n_max=None):

@@ -546,20 +546,24 @@ class TestSkewnessWitness:
         assert negatives > 0
 
 
-def test_wide_onoff_sweep_builds_level_tables_once(monkeypatch):
-    # the level tables of the photon-number sum depend on the configuration
-    # and the length only, so a sweep must not rebuild them per matrix entry
+def test_wide_onoff_sweep_evaluates_tail_series_once_per_kernel_call(monkeypatch):
+    # the tail series of pi_K is shared by every exponent tuple of a kernel
+    # call, so a sweep must not re-evaluate it per matrix entry
     from clickwitness import detectors, witnesses
 
-    calls = {"kernel": 0}
-    kernel = witnesses.povm_product_value
+    calls = {"tail": 0, "kernel": 0}
+    tail_series, kernel = detectors._tail_series, witnesses.povm_product_value
+
+    def counted_tail(*args):
+        calls["tail"] += 1
+        return tail_series(*args)
 
     def counted_kernel(*args):
         calls["kernel"] += 1
         return kernel(*args)
 
+    monkeypatch.setattr(detectors, "_tail_series", counted_tail)
     monkeypatch.setattr(witnesses, "povm_product_value", counted_kernel)
-    detectors._level_tables.cache_clear()
     cfg = DetectorConfig.onoff(31, 0.5)
     stack = CoherentStack([make_cat(math.sqrt(s), parity)
                            for s in np.logspace(-2, 1.5, 10)
@@ -572,4 +576,4 @@ def test_wide_onoff_sweep_builds_level_tables_once(monkeypatch):
     # (0, 31) closes the half-set counts, after which every half-set moment
     # (0, s) is known and that matrix needs no kernel call
     assert calls["kernel"] == 3
-    assert detectors._level_tables.cache_info().misses == 1
+    assert 1 <= calls["tail"] <= calls["kernel"]
