@@ -4,9 +4,11 @@
 Usage:  python scripts/bench_pairs.py --parent REV --seed-base S --out BENCH_n.json
             [--trace-workloads W ...] [--claim WORKLOAD:METRIC] [--note TEXT]
 
-Exports REV with ``git archive`` into a temporary directory and runs
-``bench/run.py`` there and in the working tree, each side from its own
-``bench/`` and ``src/``.  Every workload of BENCHMARK.json runs PAIRS times
+Exports REV with ``git archive``, and copies the working tree's tracked and
+unignored files, into two sibling temporary directories, and runs
+``bench/run.py`` in each, from its own ``bench/`` and ``src/``.  Both sides
+run from directories of the same depth, since ``peak_rss_mb`` moves with the
+directory a tree runs from.  Every workload of BENCHMARK.json runs PAIRS times
 per side, for the benchmark's ``run_seconds``.  Pair i uses seed S + i for
 every workload; the parent runs first in even pairs and the change first in
 odd ones.  The output holds every run, each side's median and quartiles per
@@ -25,6 +27,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -55,6 +58,18 @@ def export(rev: str, dest: Path) -> str:
     if proc.returncode:
         raise RuntimeError(f"git archive {commit} exited with {proc.returncode}")
     return commit
+
+
+def copy_worktree(root: Path, dest: Path) -> None:
+    """Copy the tracked and unignored files of the working tree at ``root`` into ``dest``."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, capture_output=True, text=True).stdout
+    for name in dict.fromkeys(filter(None, listed.split("\0"))):
+        # a tracked file deleted from the working tree is still listed
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
 
 
 def order(pair: int) -> tuple[str, str]:
@@ -197,9 +212,10 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     claim = tuple(args.claim.split(":")) if args.claim else None
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        roots = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        roots = {side: Path(tmp, side) for side in SIDES}
         commit = export(args.parent, roots["parent"])
+        copy_worktree(ROOT, roots["change"])
         runs, traced, cli = [], [], []
 
         def record(store, pair, workload, side, seed, rec):

@@ -98,11 +98,7 @@ def _resolve_sets(scenario: Scenario) -> list[IndexSet]:
         else:
             resolved = [s for s in sets if s.label == scenario.sets]
     else:
-        cap = cfg.bins if cfg.model in (ONOFF, PNR) else None
-        resolved = [
-            IndexSet(tuple(elements), label, model_cap=cap)
-            for label, elements in scenario.sets
-        ]
+        resolved = [IndexSet(tuple(elements), label) for label, elements in scenario.sets]
     # every set must be admissible, within the dimension cap included,
     # before any evaluation starts
     for iset in resolved:
@@ -382,7 +378,16 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_sample(args) -> int:
     state_input = _state_input(args)
-    cfg = _detector(args)
+    if state_input.parity == "both":
+        raise ValueError("sample draws one state; pass --parity even or odd")
+    # checks the state and, for --witness, the sets before anything is drawn
+    scenario = Scenario(
+        name="sample", state=state_input, detector=_detector(args),
+        sets=_sets_arg(args), kinds=("counts",),
+        sweep=SweepSpec(start=args.alpha2, stop=args.alpha2, points=1, scale="linear"),
+    )
+    cfg = scenario.detector
+    isets = _resolve_sets(scenario) if args.witness else []
     (state_label, state), = state_input.build(args.alpha2)
     dist = _distribution(state, cfg, args.n_max)
     run_ = sample(dist, args.shots, args.seed)
@@ -391,22 +396,10 @@ def _cmd_sample(args) -> int:
     path = outdir / args.out
     write_histogram(run_, path)
     print(path)
-    if args.witness:
-        scenario = Scenario(
-            name="sample", state=state_input, detector=cfg,
-            sets=_sets_arg(args), kinds=("counts",),
-            sweep=SweepSpec(start=args.alpha2, stop=args.alpha2, points=1,
-                            scale="linear"),
-        )
-        for iset in _resolve_sets(scenario):
-            result = empirical_witness(run_, cfg, iset,
-                                       resamples=args.resamples)
-            err = result.stderrs["min_eig"]
-            print(
-                f"{state_label} set={iset.label} "
-                f"min_eig={_fmt(result.values['min_eig'])} "
-                f"stderr={_fmt(err)} verdict={result.verdict}"
-            )
+    for iset in isets:
+        result = empirical_witness(run_, cfg, iset, resamples=args.resamples)
+        print(f"{state_label} set={iset.label} min_eig={_fmt(result.values['min_eig'])} "
+              f"stderr={_fmt(result.stderrs['min_eig'])} verdict={result.verdict}")
     return _EXIT_OK
 
 

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import MAX_DIM, HalfInt, SymMatrix
+from .numerics import HalfInt, SymMatrix
 from .states import CoherentStack, NOExpr, StateSpec, expect
 from .witnesses import (
     INDETERMINATE,
     NONCLASSICAL,
     NO_VIOLATION,
+    IndexSet,
     WitnessReport,
+    _check_dimension,
     _fill,
     _pair_quantities,
     _report,
@@ -129,45 +131,24 @@ def mode_class_patterns(modes: int):
         yield tuple("half" if (bits >> j) & 1 else "integer" for j in range(modes))
 
 
-def _validate_set(elements: tuple[MultiIndex, ...]) -> tuple[MultiIndex, ...]:
-    if not elements:
-        raise ValueError("index set is empty")
-    modes = elements[0].modes
-    if any(e.modes != modes for e in elements):
-        raise ValueError("elements must share the mode count")
-    elements = tuple(sorted(set(elements)))
-    if len(elements) > MAX_DIM:
-        raise ValueError(
-            f"index set has {len(elements)} elements; "
-            f"witness matrices are capped at dimension {MAX_DIM}"
-        )
-    first = elements[0]
-    for element in elements[1:]:
-        for mode, (a, b) in enumerate(zip(first.parts, element.parts)):
-            if not (a + b).is_integer:
-                raise ValueError(
-                    f"elements {first} and {element} have mixed classes in "
-                    f"mode {mode + 1}"
-                )
-    return elements
-
-
 def multimode_matrices(state: StateSpec, elements, eta: float = 1.0,
                        kind: str = "moments") -> WitnessReport:
     """Multimode counting (C) or moment (M) witness matrix.
 
     Entries are (k+l)! p_(k+l) for ``kind="counts"`` and <: n^(k+l) :> for
-    ``kind="moments"``; the index set must carry one fixed class per mode.
-    Each distinct pair sum k+l is evaluated once.  ``state`` is one state;
-    a :class:`~.states.CoherentStack` of grid points is refused.
+    ``kind="moments"``; the index set must carry one fixed class per mode,
+    which :class:`~.witnesses.IndexSet` checks.  Each distinct pair sum k+l
+    is evaluated once.  ``state`` is one state; a
+    :class:`~.states.CoherentStack` of grid points is refused.
     """
     if isinstance(state, CoherentStack):
         raise ValueError("multimode_matrices takes one state, not a CoherentStack")
     if kind not in ("counts", "moments"):
         raise ValueError("kind must be 'counts' or 'moments'")
-    elements = _validate_set(tuple(
-        e if isinstance(e, MultiIndex) else MultiIndex.of(e) for e in elements
-    ))
+    iset = IndexSet(tuple(tuple(e.parts if isinstance(e, MultiIndex) else e)
+                          for e in elements), "multimode")
+    _check_dimension(iset)
+    elements = tuple(MultiIndex(e) for e in iset.elements)
     if state.modes != elements[0].modes:
         raise ValueError(
             f"state has {state.modes} modes, set has {elements[0].modes}"

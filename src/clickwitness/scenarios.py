@@ -16,14 +16,7 @@ import numpy as np
 
 from .detectors import DetectorConfig
 from .numerics import HalfInt
-from .states import (
-    CoherentStack,
-    FockVector,
-    StateSpec,
-    cat_weight,
-    coherent_state,
-    make_cat,
-)
+from .states import CoherentStack, FockVector, StateSpec, cat_stacks
 
 MATRIX_CRITERIA = ("min_eig",)
 RATIO_CRITERIA = ("moment_ratio", "mean_photon_number")
@@ -55,57 +48,39 @@ class StateInput:
             raise ValueError("modes must be >= 1")
 
     def build(self, alpha2: float, modes: int | None = None) -> list[tuple[str, StateSpec]]:
-        """States at total input intensity |alpha|^2, split equally over modes."""
-        modes = modes or self.modes
-        amp = math.sqrt(alpha2 / modes)
-        if self.kind == "coherent":
-            return [("coherent", coherent_state(amp, modes))]
-        if self.kind == "fock":
-            return [("fock", FockVector(self.coefficients))]
-        parities = ("even", "odd") if self.parity == "both" else (self.parity,)
+        """States at total input intensity |alpha|^2, split equally over modes.
+
+        These are the one-point :meth:`stack`, one state per label.
+        """
         return [
-            (f"cat_{parity}", make_cat(amp, parity, modes)) for parity in parities
+            (label, state if self.kind == "fock" else state.superposition(0))
+            for label, state in self.stack((alpha2,), modes)
         ]
 
     def stack(self, grid, modes: int | None = None) -> list[tuple[str, object]]:
         """The states of every grid point, one entry per state label.
 
-        Coherent and cat inputs give a :class:`~.states.CoherentStack` of
-        the states :meth:`build` makes at each point, filled as arrays and
-        checked for normalization once per stack.  A Fock input is the same
-        state at every point, so it is returned once, unstacked.
+        Coherent and cat inputs give a :class:`~.states.CoherentStack` per
+        label, with the amplitude sqrt(|alpha|^2 / modes) in every mode;
+        cats come from :func:`~.states.cat_stacks`, the builder behind
+        :func:`~.states.make_cat`.  Each stack is checked for normalization
+        once.  A Fock input is the same state at every point, so it is
+        returned once, unstacked.
         """
         modes = modes or self.modes
         if self.kind == "fock":
-            return self.build(grid[0], modes)
-        # the per-point scalars with the Python float operations of build
-        # and make_cat, so that every array entry is bit-identical
-        amps = [math.sqrt(alpha2 / modes) for alpha2 in grid]
-        plus = np.repeat(np.array(amps, dtype=complex)[:, None, None], modes, axis=2)
+            return [("fock", FockVector(self.coefficients))]
+        amps = np.array([math.sqrt(alpha2 / modes) for alpha2 in grid], dtype=complex)
+        amplitudes = np.repeat(amps[:, None], modes, axis=1)
         if self.kind == "coherent":
-            parts = [("coherent", np.ones((len(grid), 1), dtype=complex), plus)]
+            stacks = [("coherent", CoherentStack.from_arrays(
+                np.ones((len(grid), 1), dtype=complex), amplitudes[:, None]))]
         else:
-            pumped = [sum(abs(a) ** 2 for a in (complex(amp),) * modes) for amp in amps]
-            # a zero amplitude gives the one-component even cat, the vacuum
-            vacuum = np.array([p == 0.0 for p in pumped])
-            amplitudes = np.concatenate([plus, -plus], axis=1)
-            amplitudes[vacuum, 1] = 0.0
-            width = 1 if vacuum.all() else 2
             parities = ("even", "odd") if self.parity == "both" else (self.parity,)
-            parts = []
-            for parity in parities:
-                if parity == "odd" and vacuum.any():
-                    raise ValueError("odd cat state is undefined at zero amplitude")
-                sign = 1.0 if parity == "even" else -1.0
-                first = np.array([1.0 if p == 0.0 else cat_weight(p, sign) for p in pumped])
-                weights = np.stack([first, np.where(vacuum, 0.0, sign * first)], axis=1)
-                parts.append((f"cat_{parity}", weights[:, :width].astype(complex),
-                              amplitudes[:, :width]))
-        stacks = []
-        for label, weights, amplitudes in parts:
-            stack = CoherentStack.from_arrays(weights, amplitudes)
+            stacks = [(f"cat_{parity}", stack) for parity, stack
+                      in zip(parities, cat_stacks(amplitudes, parities))]
+        for _, stack in stacks:
             stack.check_normalized(grid)
-            stacks.append((label, stack))
         return stacks
 
 
@@ -171,6 +146,9 @@ class Scenario:
         if tuple(self.criteria) == MATRIX_CRITERIA:
             if self.detector is None:
                 raise ValueError("matrix scenarios need a detector config")
+            if self.state.modes != 1:
+                raise ValueError(
+                    f"detector models address a single mode, got modes={self.state.modes}")
             if isinstance(self.sets, str) and self.sets not in SET_PRESETS:
                 raise ValueError(f"unknown set preset {self.sets!r}")
             for kind in self.kinds:

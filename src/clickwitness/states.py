@@ -208,19 +208,38 @@ def make_cat(alpha, parity: str, modes: int | None = None) -> CoherentSuperposit
 
     ``parity`` is "even" (+) or "odd" (-); the odd state is undefined at zero
     amplitude.  A scalar ``alpha`` with ``modes > 1`` is replicated per mode.
+    This is the one-point call of :func:`cat_stacks`.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    amps = _amplitude_tuple(alpha, modes)
-    pumped = sum(abs(a) ** 2 for a in amps)
-    if pumped == 0.0:
-        if parity == "odd":
+    amplitudes = np.array([_amplitude_tuple(alpha, modes)], dtype=complex)
+    stack, = cat_stacks(amplitudes, (parity,))
+    return stack.superposition(0)
+
+
+def cat_stacks(amplitudes: np.ndarray, parities) -> list["CoherentStack"]:
+    """One stack of cats w (|alpha> + sign |-alpha>) per parity in ``parities``.
+
+    Row g of the (G, modes) ``amplitudes`` is alpha at grid point g, and w
+    is :func:`cat_weight` of sum_m |alpha_m|^2 taken on Python floats.  A
+    zero row is the vacuum, padded with a zero-weight component, and a stack
+    whose every row is zero is one component wide; an odd cat there raises
+    ValueError.  Normalization is left to the caller.
+    """
+    pumped = [sum(abs(a) ** 2 for a in row) for row in amplitudes.tolist()]
+    vacuum = np.array([p == 0.0 for p in pumped])
+    width = 1 if vacuum.all() else 2
+    components = np.stack([amplitudes, -amplitudes], axis=1)[:, :width]
+    components[vacuum] = 0.0
+    stacks = []
+    for parity in parities:
+        if parity not in ("even", "odd"):
+            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        if parity == "odd" and vacuum.any():
             raise ValueError("odd cat state is undefined at zero amplitude")
-        return coherent_state(0j, len(amps))
-    sign = 1.0 if parity == "even" else -1.0
-    weight = cat_weight(pumped, sign)
-    minus = tuple(-a for a in amps)
-    return CoherentSuperposition((weight, sign * weight), (amps, minus))
+        sign = 1.0 if parity == "even" else -1.0
+        first = np.array([1.0 if p == 0.0 else cat_weight(p, sign) for p in pumped])
+        weights = np.stack([first, np.where(vacuum, 0.0, sign * first)], axis=1)
+        stacks.append(CoherentStack.from_arrays(weights[:, :width].astype(complex), components))
+    return stacks
 
 
 def cat_weight(pumped: float, sign: float) -> float:
@@ -317,6 +336,11 @@ class CoherentStack:
     @property
     def modes(self) -> int:
         return self.amplitudes.shape[2]
+
+    def superposition(self, g: int) -> CoherentSuperposition:
+        """The state at grid point ``g``, zero-weight padding included."""
+        return CoherentSuperposition(tuple(self.weights[g].tolist()),
+                                     tuple(map(tuple, self.amplitudes[g].tolist())))
 
 
 def pair_sum(terms: np.ndarray) -> np.ndarray:

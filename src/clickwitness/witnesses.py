@@ -83,7 +83,6 @@ class IndexSet:
 
     elements: tuple
     label: str
-    model_cap: int | None = None
 
     def __post_init__(self):
         elems = []
@@ -99,19 +98,15 @@ class IndexSet:
         if len(widths) > 1:
             raise ValueError("multi-index elements must share a width")
         elems = sorted(set(elems), key=_element_key)
-        for element in elems:
-            parts = element if isinstance(element, tuple) else (element,)
+        slots = [e if isinstance(e, tuple) else (e,) for e in elems]
+        for element, parts in zip(elems, slots):
             if any(part.twice < 0 for part in parts):
                 raise ValueError(f"negative index in element {_format_element(element)}")
-        for i, a in enumerate(elems):
-            for b in elems[i:]:
-                pa = a if isinstance(a, tuple) else (a,)
-                pb = b if isinstance(b, tuple) else (b,)
-                if any(not (x + y).is_integer for x, y in zip(pa, pb)):
-                    raise ValueError(
-                        f"pair {_format_element(a)}, {_format_element(b)} does not "
-                        "sum to whole integers"
-                    )
+        # every pair sums to whole integers once each element does with the first
+        for element, parts in zip(elems, slots):
+            if any(not (x + y).is_integer for x, y in zip(slots[0], parts)):
+                raise ValueError(f"pair {_format_element(elems[0])}, "
+                                 f"{_format_element(element)} does not sum to whole integers")
         object.__setattr__(self, "elements", tuple(elems))
 
     @property
@@ -134,6 +129,16 @@ def _half_range(cap_twice: int, start_twice: int) -> list[HalfInt]:
     return [HalfInt(t) for t in range(start_twice, cap_twice + 1, 2)]
 
 
+def _doubled_indices(parities, budget_twice: int):
+    """Doubled multi-indices t >= 0 with t_j = parities[j] mod 2 and sum(t) <= budget_twice."""
+    if not parities:
+        yield ()
+        return
+    for twice in range(parities[0], budget_twice + 1, 2):
+        for rest in _doubled_indices(parities[1:], budget_twice - twice):
+            yield (twice,) + rest
+
+
 def enumerate_index_sets(cfg: DetectorConfig,
                          max_order: int | None = None) -> list[IndexSet]:
     """Maximal admissible index sets for a detector configuration.
@@ -150,10 +155,7 @@ def enumerate_index_sets(cfg: DetectorConfig,
         cap = cfg.bins if cfg.model == ONOFF else (max_order or 4)
         integers = _half_range(2 * (cap // 2), 0)
         halves = _half_range(cap if cap % 2 else cap - 1, 1)
-        return [
-            IndexSet(tuple(integers), INTEGER, model_cap=cap),
-            IndexSet(tuple(halves), HALF, model_cap=cap),
-        ]
+        return [IndexSet(tuple(integers), INTEGER), IndexSet(tuple(halves), HALF)]
     if cfg.model != PNR:
         raise ValueError(f"unknown detector model {cfg.model!r}")
     if cfg.levels > 6:
@@ -162,23 +164,12 @@ def enumerate_index_sets(cfg: DetectorConfig,
     sets = []
     for pattern_bits in range(2 ** levels):
         bits = [(pattern_bits >> j) & 1 for j in range(levels)]
-        last_bit = (bins - sum(bits)) % 2
-        pattern = tuple(
-            HALF if bit else INTEGER for bit in bits + [last_bit]
+        pattern = bits + [(bins - sum(bits)) % 2]
+        elements = tuple(
+            tuple(map(HalfInt, head + (bins - sum(head),)))
+            for head in _doubled_indices(bits, bins)
         )
-        elements = []
-
-        def extend(prefix: list[int], remaining_twice: int, slot: int):
-            if slot == levels:
-                if remaining_twice >= 0:
-                    elements.append(tuple(HalfInt(t) for t in prefix + [remaining_twice]))
-                return
-            for twice in range(bits[slot], remaining_twice + 1, 2):
-                extend(prefix + [twice], remaining_twice - twice, slot + 1)
-
-        extend([], bins, 0)
-        label = "-".join("half" if c == HALF else "int" for c in pattern)
-        sets.append(IndexSet(tuple(elements), label, model_cap=bins))
+        sets.append(IndexSet(elements, "-".join("half" if b else "int" for b in pattern)))
     return sets
 
 
@@ -193,22 +184,11 @@ def enumerate_pnr_moment_sets(cfg: DetectorConfig) -> list[IndexSet]:
         raise ValueError("enumerate_pnr_moment_sets needs a pnr config")
     if cfg.levels > 6:
         raise ValueError("index-set enumeration capped at levels <= 6")
-    bins, levels = cfg.bins, cfg.levels
     sets = []
-    for pattern_bits in range(2 ** (levels + 1)):
-        bits = [(pattern_bits >> j) & 1 for j in range(levels + 1)]
-        elements = []
-
-        def extend(prefix: list[int], budget_twice: int, slot: int):
-            if slot == levels + 1:
-                elements.append(tuple(HalfInt(t) for t in prefix))
-                return
-            for twice in range(bits[slot], budget_twice + 1, 2):
-                extend(prefix + [twice], budget_twice - twice, slot + 1)
-
-        extend([], bins, 0)
-        label = "-".join("half" if bit else "int" for bit in bits)
-        sets.append(IndexSet(tuple(elements), label, model_cap=bins))
+    for pattern_bits in range(2 ** (cfg.levels + 1)):
+        bits = [(pattern_bits >> j) & 1 for j in range(cfg.levels + 1)]
+        elements = tuple(tuple(map(HalfInt, t)) for t in _doubled_indices(bits, cfg.bins))
+        sets.append(IndexSet(elements, "-".join("half" if b else "int" for b in bits)))
     return sets
 
 
@@ -280,6 +260,17 @@ def _pair_sum_multi(a: tuple, b: tuple) -> tuple[int, ...]:
     return tuple(_whole(x.twice + y.twice) for x, y in zip(a, b))
 
 
+def _check_dimension(iset: IndexSet) -> None:
+    """Reject an empty set, and one above the spectral step's cap ``MAX_DIM``."""
+    if not iset.elements:
+        raise ValueError(f"index set {iset.label!r} is empty")
+    if len(iset.elements) > MAX_DIM:
+        raise ValueError(
+            f"index set {iset.label!r} has dimension {len(iset.elements)}; "
+            f"witness matrices are capped at dimension {MAX_DIM}"
+        )
+
+
 def check_admissible(iset: IndexSet, cfg: DetectorConfig, kind: str) -> None:
     """Reject an index set that a ``kind`` matrix of this detector cannot use.
 
@@ -289,13 +280,7 @@ def check_admissible(iset: IndexSet, cfg: DetectorConfig, kind: str) -> None:
     """
     if kind not in ("counts", "moments"):
         raise ValueError(f"kind must be 'counts' or 'moments', got {kind!r}")
-    if not iset.elements:
-        raise ValueError(f"index set {iset.label!r} is empty")
-    if len(iset.elements) > MAX_DIM:
-        raise ValueError(
-            f"index set {iset.label!r} has dimension {len(iset.elements)}; "
-            f"witness matrices are capped at dimension {MAX_DIM}"
-        )
+    _check_dimension(iset)
     if cfg.model == PNR:
         if not iset.multi or len(iset.elements[0]) != cfg.levels + 1:
             raise ValueError(

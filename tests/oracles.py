@@ -23,7 +23,10 @@ inputs it is evaluated without roundoff, the reference for the package's
 photon-number sum of nonnegative terms.  The
 distribution check and the CSV writer at the end take one probability and
 one row at a time; the package checks a whole distribution as an array and
-formats the cells that a CSV block shares once.
+formats the cells that a CSV block shares once.  The input builders at the
+end make one cat from Python complex scalars and each family of pnr index
+sets by its own recursion; the package builds cats as stacks of arrays and
+every pnr family from one multi-index generator.
 """
 
 import cmath
@@ -583,3 +586,75 @@ def write_rows_csv(path, columns, rows):
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+# --------------------------------------------------------------------------
+# witness inputs: one cat from scalars, pnr index sets by recursion
+
+
+def scalar_make_cat(alpha, parity, modes=None):
+    """``make_cat`` of one state, with Python complex scalars throughout."""
+    from clickwitness.states import CoherentSuperposition, cat_weight
+
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    if isinstance(alpha, (tuple, list, np.ndarray)):
+        amps = tuple(complex(a) for a in alpha)
+        if modes is not None and modes != len(amps):
+            raise ValueError(f"got {len(amps)} amplitudes for modes={modes}")
+    else:
+        amps = (complex(alpha),) * (modes or 1)
+    pumped = sum(abs(a) ** 2 for a in amps)
+    if pumped == 0.0:
+        if parity == "odd":
+            raise ValueError("odd cat state is undefined at zero amplitude")
+        return CoherentSuperposition((1.0 + 0j,), ((0j,) * len(amps),))
+    sign = 1.0 if parity == "even" else -1.0
+    weight = cat_weight(pumped, sign)
+    minus = tuple(-a for a in amps)
+    return CoherentSuperposition((weight, sign * weight), (amps, minus))
+
+
+def recursive_pnr_count_sets(bins, levels):
+    """(label, elements) of each counting family, 2^K of them, in pattern order."""
+    from clickwitness.numerics import HalfInt
+
+    sets = []
+    for pattern_bits in range(2 ** levels):
+        bits = [(pattern_bits >> j) & 1 for j in range(levels)]
+        last_bit = (bins - sum(bits)) % 2
+        elements = []
+
+        def extend(prefix, remaining_twice, slot):
+            if slot == levels:
+                if remaining_twice >= 0:
+                    elements.append(tuple(HalfInt(t) for t in prefix + [remaining_twice]))
+                return
+            for twice in range(bits[slot], remaining_twice + 1, 2):
+                extend(prefix + [twice], remaining_twice - twice, slot + 1)
+
+        extend([], bins, 0)
+        label = "-".join("half" if bit else "int" for bit in bits + [last_bit])
+        sets.append((label, elements))
+    return sets
+
+
+def recursive_pnr_moment_sets(bins, levels):
+    """(label, elements) of each moment family, 2^(K+1) of them, in pattern order."""
+    from clickwitness.numerics import HalfInt
+
+    sets = []
+    for pattern_bits in range(2 ** (levels + 1)):
+        bits = [(pattern_bits >> j) & 1 for j in range(levels + 1)]
+        elements = []
+
+        def extend(prefix, budget_twice, slot):
+            if slot == levels + 1:
+                elements.append(tuple(HalfInt(t) for t in prefix))
+                return
+            for twice in range(bits[slot], budget_twice + 1, 2):
+                extend(prefix + [twice], budget_twice - twice, slot + 1)
+
+        extend([], bins, 0)
+        sets.append(("-".join("half" if bit else "int" for bit in bits), elements))
+    return sets

@@ -1,6 +1,8 @@
-"""scripts/bench_pairs.py's summary of paired runs, on synthetic results."""
+"""scripts/bench_pairs.py: its copy of a working tree, and its summary of paired
+runs on synthetic results."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -105,3 +107,23 @@ def test_traced_medians_sorted_by_relative_move(pairs):
     table = pairs.summarize_traced(runs)["sampling"]
     assert list(table) == ["b", "a"]
     assert table["b"] == {"parent": 4.0, "change": 2.0, "relative_change": -0.5}
+
+
+def test_worktree_copy_takes_tracked_and_unignored_files(pairs, tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    files = {".gitignore": "ignored.txt\nbuild/\n", "tracked.txt": "committed",
+             "sub/deep.txt": "deep", "gone.txt": "gone", "ignored.txt": "no",
+             "build/out.bin": "no", "untracked.txt": "new"}
+    for name, text in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", ".gitignore", "tracked.txt", "sub/deep.txt", "gone.txt"],
+                   cwd=repo, check=True)
+    (repo / "tracked.txt").write_text("edited")
+    (repo / "gone.txt").unlink()
+    pairs.copy_worktree(repo, dest)
+    copied = {str(p.relative_to(dest)): p.read_text()
+              for p in dest.rglob("*") if p.is_file()}
+    assert copied == {".gitignore": files[".gitignore"], "tracked.txt": "edited",
+                      "sub/deep.txt": "deep", "untracked.txt": "new"}

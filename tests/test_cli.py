@@ -16,6 +16,8 @@ from clickwitness.scenarios import (
     scenario_from_json,
 )
 from clickwitness.detectors import DetectorConfig
+from clickwitness.states import FockVector
+from clickwitness.witnesses import count_matrix, enumerate_index_sets
 from oracles import write_rows_csv
 
 
@@ -397,6 +399,57 @@ class TestMainEntry:
         assert code == 0
         assert calls
         assert list(tmp_path.glob("*.csv"))
+
+    def test_sample_of_both_parities_exits_2_before_drawing(self, tmp_path, capsys):
+        code = main([
+            "sample", "--state", "cat", "--parity", "both", "--model", "pnr",
+            "--bins", "4", "--levels", "2", "--efficiency", "0.5",
+            "--shots", "100000", "--witness", "--outdir", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "pass --parity even or odd" in err
+        assert not list(tmp_path.rglob("*"))
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--points", "2"], ["witness"], ["sample", "--shots", "1000", "--witness"],
+    ])
+    @pytest.mark.parametrize("model", [
+        ["--model", "onoff", "--bins", "4"],
+        ["--model", "pnr", "--bins", "4", "--levels", "2"],
+        ["--model", "photoelectric"],
+    ])
+    def test_multimode_state_on_a_detector_exits_2(
+            self, command, model, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # witness takes no --outdir
+        outdir = [] if command == ["witness"] else ["--outdir", str(tmp_path)]
+        code = main([*command, "--state", "cat", "--parity", "odd", "--modes", "2",
+                     *model, "--efficiency", "0.5", *outdir])
+        err = capsys.readouterr().err
+        assert code == 2
+        # the up-front check names the mode count; the kernel's message does not
+        assert err == "error: detector models address a single mode, got modes=2\n"
+        assert not list(tmp_path.rglob("*"))
+
+    @pytest.mark.xfail(strict=True, reason="odd-cat pair sums cancel at |alpha|^2 <= 1e-16")
+    def test_odd_cat_at_1e_16_reads_the_one_photon_value(self, tmp_path):
+        # Its state is |1> up to O(|alpha|^2); the pair-sum kernel gives c_0 = 1.0
+        # instead of 0.5 there and min_eig -0.0099 instead of -0.0193.
+        code = main([
+            "sweep", "--state", "cat", "--parity", "odd", "--model", "onoff",
+            "--bins", "5", "--efficiency", "0.5", "--sets", "integer",
+            "--start", "1e-17", "--stop", "1e-14", "--points", "4",
+            "--outdir", str(tmp_path),
+        ])
+        assert code == 0
+        text = (tmp_path / "sweep_integer_counts_min_eig.csv").read_text()
+        values = [float(r["value"]) for r in csv.DictReader(text.splitlines())]
+        cfg = DetectorConfig.onoff(bins=5, efficiency=0.5)
+        iset, _ = enumerate_index_sets(cfg)
+        one_photon = count_matrix(FockVector((0.0, 1.0)), cfg, iset).min_eig
+        # grid 1e-17, 1e-16, 1e-15, 1e-14: the last two rows are right today
+        assert values[3] == pytest.approx(one_photon, rel=1e-9)
+        assert values[1] == pytest.approx(one_photon, rel=1e-9)
 
     def test_figures_command(self, tmp_path):
         code = main(["figures", "fig1", "--outdir", str(tmp_path)])

@@ -373,7 +373,24 @@ class TestMultimodeMatrices:
         monkeypatch.setattr(multimode, "joint_counts", lambda *a, **k: calls.append(a))
         state = coherent_state((0.9, 0.6), modes=2)
         elements = [(k, 0) for k in range(MAX_DIM + 1)]
-        with pytest.raises(ValueError, match=f"{MAX_DIM + 1} elements.*{MAX_DIM}"):
+        with pytest.raises(ValueError, match=f"dimension {MAX_DIM + 1}.*dimension {MAX_DIM}"):
+            multimode_matrices(state, elements, kind=kind)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["moments", "counts"])
+    @pytest.mark.parametrize("elements, message", [
+        (((0, 0), ("1/2", 0)), "does not sum to whole integers"),
+        (((0, 0), (1, 0, 0)), "must share a width"),
+        (((0, 0), (-1, 0)), "negative index"),
+        ((), "is empty"),
+    ])
+    def test_invalid_set_rejected_before_evaluation(self, elements, message, kind,
+                                                    monkeypatch):
+        calls = []
+        monkeypatch.setattr(multimode, "joint_moment", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(multimode, "joint_counts", lambda *a, **k: calls.append(a))
+        state = coherent_state((0.9, 0.6), modes=2)
+        with pytest.raises(ValueError, match=message):
             multimode_matrices(state, elements, kind=kind)
         assert calls == []
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from helpers import (
 from oracles import (
     expect_fock_product,
     naive_product_terms,
+    scalar_make_cat,
     series_coefficients,
     series_expect_fock,
     series_value,
@@ -342,13 +344,13 @@ class TestArrayStacks:
         assert label == "fock" and isinstance(state, FockVector)
 
     def test_unnormalized_point_is_named(self, monkeypatch):
-        from clickwitness import scenarios
+        from clickwitness import states
 
         def off_at_one(pumped, sign):
             weight = cat_weight(pumped, sign)
             return 1.01 * weight if pumped == 1.0 else weight
 
-        monkeypatch.setattr(scenarios, "cat_weight", off_at_one)
+        monkeypatch.setattr(states, "cat_weight", off_at_one)
         with pytest.raises(ValueError, match=r"at 1\.0 is not normalized"):
             StateInput("cat", parity="even").stack((0.5, 1.0, 2.0))
 
@@ -370,6 +372,68 @@ class TestArrayStacks:
                                         stack.amplitudes)
         with pytest.raises(ValueError, match=r"at 1e-10 is not normalized"):
             off.check_normalized(grid)
+
+
+class TestCatBuilder:
+    """``make_cat``, the one-point array builder, against the scalar cat."""
+
+    SCALARS = (0.7, -1.3, 0.4 + 0.9j, -1.1j, complex(-0.0, 2.0), 1e-8, 5.5, 1e-170, 0.0, -0.0)
+
+    @staticmethod
+    def same(got, want):
+        # repr tells -0.0 from 0.0 in both parts of every complex
+        assert type(got) is type(want)
+        assert repr(got.weights) == repr(want.weights)
+        assert repr(got.amplitudes) == repr(want.amplitudes)
+
+    @classmethod
+    def cases(cls):
+        rng = np.random.default_rng(21)
+        for modes in range(1, 6):
+            for alpha in cls.SCALARS:
+                yield alpha, modes
+            yield tuple(rng.normal(size=modes) + 1j * rng.normal(size=modes)), None
+            yield tuple(rng.normal(size=modes)), modes
+            yield (0.0,) * (modes - 1) + (-0.3,), modes
+            yield (0.0, -0.0) * modes, None
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_bit_identical_to_the_scalar_cat(self, parity):
+        for alpha, modes in self.cases():
+            try:
+                want = scalar_make_cat(alpha, parity, modes)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    make_cat(alpha, parity, modes)
+                continue
+            self.same(make_cat(alpha, parity, modes), want)
+
+    def test_vacuum_is_one_component(self):
+        for modes in (1, 3):
+            cat = make_cat(-0.0, "even", modes)
+            assert cat.weights == (1.0,) and cat.amplitudes == ((0j,) * modes,)
+            with pytest.raises(ValueError, match="undefined at zero amplitude"):
+                make_cat(0.0, "odd", modes)
+
+    def test_bad_parity_and_mode_count_rejected(self):
+        with pytest.raises(ValueError, match="parity must be"):
+            make_cat(1.0, "both")
+        with pytest.raises(ValueError, match="2 amplitudes for modes=3"):
+            make_cat((1.0, 2.0), "even", 3)
+
+    def test_build_reads_back_the_one_point_stack(self):
+        for kind, parity in (("coherent", None), ("cat", "both")):
+            state_input = StateInput(kind, parity=parity)
+            for modes in (1, 2, 3):
+                built = state_input.build(0.8, modes)
+                stacked = state_input.stack((0.8,), modes)
+                assert [label for label, _ in built] == [label for label, _ in stacked]
+                for (_, state), (_, stack) in zip(built, stacked):
+                    assert isinstance(state, CoherentSuperposition)
+                    self.same(state, stack.superposition(0))
+        for parity in ("even", "odd"):
+            (_, cat), = StateInput("cat", parity=parity, modes=2).build(1.5)
+            self.same(cat, scalar_make_cat(math.sqrt(0.75), parity, 2))
 
 
 def photon_number_support(state, n_max=None):

@@ -38,7 +38,11 @@ from clickwitness.witnesses import (
 )
 from helpers import random_cat, random_coherent, random_coherent_mixture
 from oracles import _pair_sum as half_int_pair_sum
-from oracles import loop_from_counts_entries
+from oracles import (
+    loop_from_counts_entries,
+    recursive_pnr_count_sets,
+    recursive_pnr_moment_sets,
+)
 
 HALF_SET = IndexSet(("1/2", "3/2"), "half")
 INT_SET_12 = IndexSet((1, 2), "integer")
@@ -116,6 +120,20 @@ class TestEnumeration:
         totals = {sum(p.twice for p in e) for e in all_int.elements}
         assert totals == {0, 2, 4}
 
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bins", range(1, 9))
+    def test_pnr_families_match_the_recursions(self, bins, levels):
+        cfg = DetectorConfig.pnr(bins, levels, 0.5)
+        for got, want in (
+            (enumerate_index_sets(cfg), recursive_pnr_count_sets(bins, levels)),
+            (enumerate_pnr_moment_sets(cfg), recursive_pnr_moment_sets(bins, levels)),
+        ):
+            assert [s.label for s in got] == [label for label, _ in want]
+            for iset, (_, elements) in zip(got, want):
+                assert len(set(elements)) == len(elements)
+                assert iset.elements == tuple(sorted(
+                    elements, key=lambda e: tuple(part.twice for part in e)))
 
 class TestPairSums:
     @pytest.mark.parametrize("cfg", [
