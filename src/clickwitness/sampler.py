@@ -42,12 +42,11 @@ frequencies, size=resamples)`` call from a generator seeded by
 :func:`derive_seed`, the same stream as ``resamples`` single redraws.  The
 point estimate is stacked as row 0 above the redraws and all are evaluated
 in one array pass: a (1+R, outcomes) probability array gives a (1+R, d, d)
-stack of matrices, one eigensolver call and one determinant call per minor
-order, with the same bits per row as a matrix built alone.  The standard
-errors of min_eig and of every minor come from one ``np.std`` over the
-rows of a C-contiguous (1+d, R) array, which sums each row pairwise like a
-1-D ``np.std``.  numpy does not promise the multinomial stream across
-versions; a golden-value test pins it.
+stack of matrices and one eigensolver call, with the same bits per row as a
+matrix built alone.  Only the point estimate's report carries leading
+minors; no redraw computes them.  The standard error of min_eig is one
+``np.std`` over the redraws' min_eig values.  numpy does not promise the
+multinomial stream across versions; a golden-value test pins it.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from .detectors import CountDistribution, DetectorConfig
-from .numerics import leading_minors_stack, min_eigenvalues
+from .numerics import min_eigenvalues
 from .witnesses import (
     HALF,
     INDETERMINATE,
@@ -224,9 +223,10 @@ class EmpiricalWitness:
     """Witness report from sampled data plus bootstrap standard errors.
 
     ``values`` holds the point estimates, ``stderrs`` the bootstrap standard
-    errors keyed identically ("min_eig", "minor_1", ..., and the Klyshko
-    ratios where defined).  The verdict demands min_eig < -3 stderr, a
-    conservative rule against sampling noise.
+    errors keyed identically: "min_eig", and "klyshko_integer" and
+    "klyshko_half" where the ratio is defined.  The leading minors are in
+    ``report.minors``, without errors.  The verdict demands
+    min_eig < -3 stderr, a conservative rule against sampling noise.
     """
 
     report: WitnessReport
@@ -241,13 +241,6 @@ class EmpiricalWitness:
     # measures dispersion.  Treat borderline verdicts on near-boundary
     # states with care; genuinely negative eigenvalues are certified
     # reliably once |min_eig| clears a few standard errors.
-
-
-def _matrix_scalars(report: WitnessReport) -> dict:
-    scalars = {"min_eig": report.min_eig}
-    for order, minor in enumerate(report.minors, start=1):
-        scalars[f"minor_{order}"] = minor
-    return scalars
 
 
 def _klyshko_scalars(counts: CountDistribution) -> dict:
@@ -302,17 +295,12 @@ def empirical_witness(run: SampleRun, cfg: DetectorConfig, iset: IndexSet,
     # Row 0 is the point estimate, rows 1.. the redraws.
     entries = from_counts_entries(empirical, np.vstack([weights, probs]), iset, kind)
     min_eigs = min_eigenvalues(entries)
-    minors = leading_minors_stack(entries)
-    report = counts_report(empirical, iset, kind, entries[0], (min_eigs[0], minors[0]))
-    values = _matrix_scalars(report)
+    report = counts_report(empirical, iset, kind, entries[0], min_eigs[0])
+    values = {"min_eig": report.min_eig}
     if empirical.kind == "click" and empirical.config.bins >= 3:
         values.update(_klyshko_scalars(empirical))
 
-    # The redraws' min_eig and minors as the rows of a C-contiguous array
-    # (copy() is C order), whose rows np.std sums pairwise like 1-D arrays;
-    # values lists min_eig and the minors first, in the same order.
-    spectral = np.column_stack([min_eigs, minors])[1:].T.copy()
-    stderrs = dict(zip(values, np.std(spectral, axis=-1, ddof=1).tolist()))
+    stderrs = {"min_eig": float(np.std(min_eigs[1:], ddof=1))}
     redraws = _klyshko_redraws(
         empirical, probs, [key for key in values if key.startswith("klyshko_")]
     )

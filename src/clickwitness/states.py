@@ -112,10 +112,8 @@ class CoherentSuperposition:
             raise ValueError("all components must share the same mode count")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "amplitudes", amps)
-        norm = 0j
-        for wi, ai in zip(weights, amps):
-            for wj, aj in zip(weights, amps):
-                norm += wi.conjugate() * wj * coherent_overlap(ai, aj)
+        norm = complex(CoherentStack.from_arrays(np.array([weights]),
+                                                 np.array([amps])).norms()[0])
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"superposition is not normalized: <psi|psi> = {norm}")
 
@@ -177,15 +175,6 @@ class Mixture:
 
 
 StateSpec = Union[CoherentSuperposition, FockVector, Mixture]
-
-
-def coherent_overlap(a: Sequence[complex], b: Sequence[complex]) -> complex:
-    """Product over modes of <a_m|b_m> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b)."""
-    exponent = sum(
-        -0.5 * (abs(am) ** 2 + abs(bm) ** 2) + am.conjugate() * bm
-        for am, bm in zip(a, b)
-    )
-    return cmath.exp(exponent)
 
 
 def coherent_state(alpha, modes: int | None = None) -> CoherentSuperposition:
@@ -315,17 +304,21 @@ class CoherentStack:
         norm = np.abs(a) ** 2
         self.overlap = -0.5 * (norm[:, :, None, :] + norm[:, None, :, :]) + self.x
 
-    def check_normalized(self, points: Sequence) -> None:
-        """Raise ValueError naming the first of ``points`` whose state is not normalized.
-
-        <psi|psi> = sum_ij conj(w_i) w_j <a_i|a_j> must be 1 to 1e-12 at
-        every grid point, as for a single :class:`CoherentSuperposition`.
-        """
+    def norms(self) -> np.ndarray:
+        """<psi|psi> = sum_ij conj(w_i) w_j <a_i|a_j> at every grid point."""
         # sum_ij conj(w_i) w_j = |sum_i w_i|^2 is taken apart from the rest,
         # conj(w_i) w_j (<a_i|a_j> - 1), so that components of opposite sign
         # at small amplitude (an odd cat) do not cancel to 0.
-        norms = np.abs(self.weights.sum(axis=1)) ** 2 + (
+        return np.abs(self.weights.sum(axis=1)) ** 2 + (
             self.pair * np.expm1(self.overlap.sum(axis=-1))).sum(axis=(1, 2))
+
+    def check_normalized(self, points: Sequence) -> None:
+        """Raise ValueError naming the first of ``points`` whose state is not normalized.
+
+        <psi|psi> must be 1 to 1e-12 at every grid point, as for a single
+        :class:`CoherentSuperposition`.
+        """
+        norms = self.norms()
         bad = np.flatnonzero(np.abs(norms - 1.0) > _NORM_TOL)
         if bad.size:
             g = bad[0]

@@ -230,16 +230,15 @@ class WitnessReport:
 
 
 def _report(matrix: SymMatrix, labels, source: str, metadata: dict,
-            spectrum=None) -> WitnessReport:
-    """Report on ``matrix``; ``spectrum`` is its (min_eig, minors) if known."""
-    if spectrum is None:
-        spectrum = min_eigenvalue(matrix), leading_minors(matrix)
-    min_eig, minors = spectrum
+            min_eig=None) -> WitnessReport:
+    """Report on ``matrix``; ``min_eig`` is its smallest eigenvalue if known."""
+    if min_eig is None:
+        min_eig = min_eigenvalue(matrix)
     return WitnessReport(
         matrix=matrix,
         labels=tuple(labels),
         min_eig=float(min_eig),
-        minors=tuple(float(minor) for minor in minors),
+        minors=tuple(leading_minors(matrix)),
         source=source,
         metadata=metadata,
     )
@@ -452,17 +451,17 @@ def from_counts_entries(counts: CountDistribution, probs: np.ndarray,
 
 
 def counts_report(counts: CountDistribution, iset: IndexSet, kind: str,
-                  entries: np.ndarray | None = None, spectrum=None) -> WitnessReport:
+                  entries: np.ndarray | None = None, min_eig=None) -> WitnessReport:
     """Report on the ``kind`` matrix of ``counts``.
 
-    ``entries`` is the matrix when a stack call built it, and ``spectrum``
-    its (min_eig, minors) when a stack call computed them.
+    ``entries`` is the matrix when a stack call built it, and ``min_eig``
+    its smallest eigenvalue when a stack call computed it.
     """
     if entries is None:
         entries = from_counts_entries(counts, np.array(counts.probs), iset, kind)
     meta = {"config": counts.config, "set": iset.label, "empirical": True}
     return _report(SymMatrix(entries), iset.elements,
-                   f"{kind}:{counts.config.model}", meta, spectrum)
+                   f"{kind}:{counts.config.model}", meta, min_eig)
 
 
 def count_matrix_from_counts(counts: CountDistribution,

@@ -1,5 +1,7 @@
 """Random state and expression factories shared across the test modules."""
 
+import cmath
+
 import numpy as np
 
 from clickwitness.states import (
@@ -7,10 +9,18 @@ from clickwitness.states import (
     FockVector,
     Mixture,
     NOExpr,
-    coherent_overlap,
     coherent_state,
     make_cat,
 )
+
+
+def coherent_overlap(a, b):
+    """Product over modes of <a_m|b_m> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b)."""
+    exponent = sum(
+        -0.5 * (abs(am) ** 2 + abs(bm) ** 2) + am.conjugate() * bm
+        for am, bm in zip(a, b)
+    )
+    return cmath.exp(exponent)
 
 
 def random_coherent(rng, max_abs2=6.0):

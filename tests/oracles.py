@@ -478,7 +478,6 @@ def loop_empirical_witness(run, iset, resamples, kind):
     def scalars(dist):
         report = builder(dist, iset)
         out = {"min_eig": report.min_eig}
-        out.update({f"minor_{k}": m for k, m in enumerate(report.minors, start=1)})
         if klyshko:
             out.update(_loop_klyshko(dist))
         return report, out

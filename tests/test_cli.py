@@ -344,6 +344,26 @@ class TestMainEntry:
             rows = list(csv.DictReader(path.read_text().splitlines()))
             assert len(rows) == 2 and all(math.isfinite(float(r["value"])) for r in rows)
 
+    def test_odd_cat_at_tiny_amplitude_witness_matches_its_sweep_row(self, tmp_path,
+                                                                    capsys):
+        # A single cat is checked with the stacks' normalization, whose
+        # terms do not cancel; it used to read <psi|psi> = 0j here.
+        detector = ["--model", "onoff", "--bins", "5", "--efficiency", "0.5"]
+        code = main(["witness", "--state", "cat", "--parity", "odd",
+                     "--alpha2", "1e-17", *detector, "--json"])
+        assert code == 0
+        printed = {r["set"]: r["min_eig"] for r in json.loads(capsys.readouterr().out)}
+        code = main(["sweep", "--state", "cat", "--parity", "odd", *detector,
+                     "--start", "1e-17", "--stop", "1e-16", "--points", "2",
+                     "--scale", "linear", "--outdir", str(tmp_path)])
+        assert code == 0
+        for set_id, min_eig in printed.items():
+            path = tmp_path / f"sweep_{set_id}_counts_min_eig.csv"
+            row = next(csv.DictReader(path.read_text().splitlines()))
+            assert float(row["grid_value"]) == 1e-17
+            assert float(row["value"]) == min_eig
+        assert sorted(printed) == ["half", "integer"]
+
     def test_non_finite_dark_counts_exit_2(self, tmp_path, capsys):
         code = main([
             "sweep", "--state", "cat", "--parity", "odd", "--model", "onoff",

@@ -23,6 +23,7 @@ from clickwitness.detectors import (
     photo_distribution,
     pnr_distribution,
 )
+from clickwitness.numerics import leading_minors
 from clickwitness.sampler import (
     _CHUNK as CHUNK,
     _GOLDEN as GOLDEN,
@@ -408,6 +409,21 @@ class TestBatchedBootstrap:
                 assert all(type(minor) is float for minor in got.minors)
                 assert (got.labels, got.min_eig, got.minors, got.source, got.metadata) \
                     == (want.labels, want.min_eig, want.minors, want.source, want.metadata)
+                assert got.minors == tuple(leading_minors(got.matrix))
+
+    @pytest.mark.parametrize("case", sorted(BOOTSTRAP_CASES))
+    def test_scalars_are_min_eig_and_the_klyshko_ratios(self, case):
+        # The redraws carry no minors; the report keeps the point estimate's.
+        cfg, distribution = BOOTSTRAP_CASES[case]
+        run = sample(distribution(make_cat(1.0, "odd"), cfg), 100_000, seed=8)
+        keys = ["min_eig"]
+        if cfg.model == "onoff":
+            keys += ["klyshko_integer", "klyshko_half"]
+        for iset in enumerate_index_sets(cfg):
+            if not iset.elements:
+                continue
+            result = empirical_witness(run, cfg, iset, resamples=3)
+            assert list(result.values) == list(result.stderrs) == keys
 
     def test_unknown_kind_rejected(self):
         run = sample(click_distribution(make_cat(1.0, "odd"), ONOFF5), 1000, seed=1)
