@@ -24,6 +24,7 @@ import os
 import re
 import sys
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -189,20 +190,22 @@ def _csv_cells(*cells) -> str:
     return line[:-2]
 
 
-def _csv_lines(set_id: str, criterion: str, shared: tuple, rows: list[tuple]) -> list[str]:
+def _csv_lines(set_id: str, criterion: str, shared: tuple, rows: list[tuple],
+               grid_text: dict) -> list[str]:
     """The lines of one CSV file, header first.
 
     The cells that stay the same within the file are quoted once per state
-    label; each row formats only its grid value and value, so the lines are
-    the ones ``csv.writer`` writes row by row.  Verdicts are package
-    constants that never need quoting, and stderr is empty (exact values).
+    label, ``grid_text`` holds the nonzero grid values formatted once per run
+    (a zero keeps its sign in its row), and each row formats its value, so
+    the lines are the ones ``csv.writer`` writes row by row.  Verdicts are
+    package constants that never need quoting; stderr is empty (exact values).
     """
     head = _csv_cells(set_id, criterion)
     tails = {state: _csv_cells(state, *shared) for state in {row[1] for row in rows}}
     lines = [_csv_cells(*COLUMNS) + "\n"]
     lines.extend(
-        f"{grid_value:.17g},{head},{value:.17g},,{verdict},{tails[state]}\n"
-        for grid_value, state, value, verdict in rows
+        f"{grid_text.get(point) or _fmt(point)},{head},{value:.17g},,{verdict},{tails[state]}\n"
+        for point, state, value, verdict in rows
     )
     return lines
 
@@ -215,16 +218,17 @@ def run(scenario: Scenario, outdir=None) -> list[Path]:
     else:
         blocks = _ratio_blocks(scenario)
     outdir.mkdir(parents=True, exist_ok=True)
+    grid_text = {value: _fmt(value) for value in scenario.sweep.grid() if value}
 
     paths = []
     for (set_id, criterion) in sorted(blocks):
         shared, rows = blocks[(set_id, criterion)]
-        rows = sorted(rows, key=lambda r: (r[0], r[1]))
+        rows = sorted(rows, key=itemgetter(0, 1))
         stem = f"{scenario.name}_{_slug(set_id)}_{_slug(criterion)}"
         if scenario.output.format == "csv":
             path = outdir / f"{stem}.csv"
             with open(path, "w", newline="") as handle:
-                handle.write("".join(_csv_lines(set_id, criterion, shared, rows)))
+                handle.write("".join(_csv_lines(set_id, criterion, shared, rows, grid_text)))
         else:
             path = outdir / f"{stem}.json"
             payload = {

@@ -143,6 +143,12 @@ class Scenario:
     cases: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for name in ("kinds", "mode_counts", "cases"):
+            values = tuple(getattr(self, name))
+            if any(value in values[:i] for i, value in enumerate(values)):
+                raise ValueError(f"{name} has duplicate entries: {list(values)}")
+        if any(modes < 1 for modes in self.mode_counts):
+            raise ValueError(f"mode_counts must be >= 1, got {list(self.mode_counts)}")
         if tuple(self.criteria) == MATRIX_CRITERIA:
             if self.detector is None:
                 raise ValueError("matrix scenarios need a detector config")

@@ -269,6 +269,9 @@ class CoherentStack:
     expectation needs are built once here: ``pair`` = conj(w_i) w_j of
     shape (G, C, C), and per mode ``x`` = conj(a_i) a_j and the overlap
     exponent ``overlap`` = log <a_i|a_j>, both of shape (G, C, C, modes).
+    For its lifetime a stack memoizes, as read-only arrays, each per-mode
+    factor of :func:`expect`, keyed by (mode, expression), and each
+    expectation, keyed by its per-mode expression tuple.
     """
 
     def __init__(self, states: Sequence[CoherentSuperposition]):
@@ -303,6 +306,16 @@ class CoherentStack:
         self.x = a.conj()[:, :, None, :] * a[:, None, :, :]
         norm = np.abs(a) ** 2
         self.overlap = -0.5 * (norm[:, :, None, :] + norm[:, None, :, :]) + self.x
+        self._factors, self._expectations = {}, {}
+
+    def factor(self, mode: int, expr: NOExpr) -> np.ndarray:
+        """``expr.values`` at the (G, C, C) pairs of ``mode``; memoized, read-only."""
+        value = self._factors.get((mode, expr))
+        if value is None:
+            value = self._factors[mode, expr] = expr.values(self.x[..., mode],
+                                                            self.overlap[..., mode])
+            value.flags.writeable = False
+        return value
 
     def norms(self) -> np.ndarray:
         """<psi|psi> = sum_ij conj(w_i) w_j <a_i|a_j> at every grid point."""
@@ -362,15 +375,20 @@ def expect(state, expr):
     must go through :func:`expect_fock`, which is kept separate as the
     independent oracle.  For multimode states, ``expr`` is a sequence with
     one expression per mode and the product over modes is taken.  A
-    :class:`CoherentStack` gives an array with one value per grid point; a
-    single superposition is the one-point stack.
+    :class:`CoherentStack` gives a read-only array with one value per grid
+    point, memoized by the stack, as are the per-mode factors, which are
+    multiplied in mode order; a single superposition is the one-point stack.
     """
     if isinstance(state, CoherentStack):
-        factor = None
-        for mode, mode_expr in enumerate(_per_mode_exprs(expr, state.modes)):
-            value = mode_expr.values(state.x[..., mode], state.overlap[..., mode])
-            factor = value if factor is None else factor * value
-        return pair_sum(state.pair * factor)
+        exprs = _per_mode_exprs(expr, state.modes)
+        value = state._expectations.get(exprs)
+        if value is None:
+            factor = state.factor(0, exprs[0])
+            for mode in range(1, len(exprs)):
+                factor = factor * state.factor(mode, exprs[mode])
+            value = state._expectations[exprs] = pair_sum(state.pair * factor)
+            value.flags.writeable = False
+        return value
     if isinstance(state, Mixture):
         return sum(p * expect(part, expr) for p, part in state.parts)
     if isinstance(state, FockVector):

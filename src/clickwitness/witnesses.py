@@ -339,15 +339,17 @@ def _pair_quantities(labels, quantity) -> dict:
 def _fill(dim: int, quantities: dict, values: dict) -> np.ndarray:
     """(..., dim, dim) matrices with entry (i, j) = ``values[quantities[i, j]]``.
 
-    ``values`` holds arrays or scalars.  Both triangles receive the same
-    value, so every matrix is exactly symmetric; the leading shape broadcasts
-    those of the values.
+    ``values`` holds arrays or scalars, broadcast to one leading shape and
+    stacked along a last axis of distinct quantities; one gather through a
+    (dim, dim) index into that axis copies them into place.  Both triangles
+    take the same value, so every matrix is exactly symmetric.
     """
-    points = np.broadcast_shapes(*(np.shape(values[q]) for q in quantities.values()))
-    entries = np.empty(points + (dim, dim))
+    position = {quantity: k for k, quantity in enumerate(dict.fromkeys(quantities.values()))}
+    index = np.empty((dim, dim), dtype=np.intp)
     for (i, j), quantity in quantities.items():
-        entries[..., i, j] = entries[..., j, i] = values[quantity]
-    return entries
+        index[i, j] = index[j, i] = position[quantity]
+    columns = np.broadcast_arrays(*(np.asarray(values[q], dtype=float) for q in position))
+    return np.stack(columns, axis=-1)[..., index]
 
 
 def _state_entries(states, cfg: DetectorConfig, kind: str, iset: IndexSet,

@@ -334,6 +334,15 @@ def _loop_report(entry, labels, source):
     )
 
 
+def loop_fill(dim, quantities, values):
+    """``witnesses._fill`` one entry at a time, both triangles of a pair in one step."""
+    points = np.broadcast_shapes(*(np.shape(values[q]) for q in quantities.values()))
+    entries = np.empty(points + (dim, dim))
+    for (i, j), quantity in quantities.items():
+        entries[..., i, j] = entries[..., j, i] = values[quantity]
+    return entries
+
+
 def loop_multimode_matrices(state, elements, eta, kind):
     """``multimode_matrices`` with one joint moment or count per entry."""
     from clickwitness.multimode import MultiIndex, joint_counts, joint_moment

@@ -85,6 +85,36 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match=field):
             scenario_from_json(json.dumps(dict(self.BASE, **changes)))
 
+    @pytest.mark.parametrize("changes, message", [
+        # a mode count below 1 wrote modes=0 rows computed for one mode, or
+        # ended in a math domain error
+        ({"mode_counts": [0]}, "mode_counts must be >= 1"),
+        ({"mode_counts": [-2]}, "mode_counts must be >= 1"),
+        ({"mode_counts": [2, 2]}, "mode_counts has duplicate entries"),
+        # a duplicate case or kind wrote every row twice
+        ({"cases": ["ii", "ii"]}, "cases has duplicate entries"),
+        ({"kinds": ["counts", "counts"]}, "kinds has duplicate entries"),
+    ], ids=["modes-0", "modes-negative", "modes-twice", "case-twice", "kind-twice"])
+    def test_bad_mode_counts_and_duplicates_exit_2(self, changes, message, tmp_path, capsys):
+        base = dict(self.BASE)
+        if "kinds" not in changes:
+            base.update(detector=None, sets=None, criteria=list(RATIO_CRITERIA),
+                        mode_counts=[1], cases=["ii"])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(base, **changes)))
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(path), "--outdir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_duplicate_kind_flags_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["sweep", "--bins", "5", "--points", "2", "--kind", "counts",
+                     "--kind", "counts", "--outdir", str(out)])
+        assert code == 2
+        assert "kinds has duplicate entries" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_document_must_be_an_object(self):
         with pytest.raises(ValueError, match="JSON object"):
             scenario_from_json("[1]")
@@ -163,8 +193,8 @@ class TestRun:
         assert payload["columns"] == list(COLUMNS)
         assert len(payload["rows"]) == 1
 
-    @pytest.mark.parametrize("scenario", [
-        Scenario(
+    @pytest.mark.parametrize("scenario, first_cell", [
+        pytest.param(Scenario(
             name="labels",
             state=StateInput("cat", parity="both"),
             detector=DetectorConfig.onoff(5, 0.5),
@@ -175,8 +205,8 @@ class TestRun:
             kinds=("counts", "moments"),
             # equal grid values: rows keep their order within a state
             sweep=SweepSpec(start=0.5, stop=0.5, points=3, scale="linear"),
-        ),
-        Scenario(
+        ), None, id="labels"),
+        pytest.param(Scenario(
             name="ratios",
             state=StateInput("coherent"),
             # a zero amplitude gives NaN ratios
@@ -184,9 +214,22 @@ class TestRun:
             criteria=RATIO_CRITERIA,
             mode_counts=(1, 3),
             cases=("i", "iii"),
-        ),
-    ], ids=["labels", "ratios"])
-    def test_csv_matches_the_row_writer(self, scenario, tmp_path):
+        ), None, id="ratios"),
+        pytest.param(Scenario(
+            name="descending",
+            state=StateInput("cat", parity="both"),
+            detector=DetectorConfig.onoff(5, 0.5),
+            sweep=SweepSpec(start=8.0, stop=1e-3, points=9),
+        ), None, id="descending-log"),
+        pytest.param(Scenario(
+            name="negzero",
+            state=StateInput("coherent"),
+            detector=DetectorConfig.onoff(5, 0.5),
+            # a descending linear grid ends at -0.0, which sorts first
+            sweep=SweepSpec(start=2.0, stop=-0.0, points=5, scale="linear"),
+        ), "-0", id="negative-zero"),
+    ])
+    def test_csv_matches_the_row_writer(self, scenario, first_cell, tmp_path):
         csv_paths = run(scenario, outdir=tmp_path / "csv")
         as_json = dataclasses.replace(scenario, output=OutputSpec(format="json"))
         json_paths = run(as_json, outdir=tmp_path / "json")
@@ -196,6 +239,8 @@ class TestRun:
             oracle = tmp_path / "oracle.csv"
             write_rows_csv(oracle, payload["columns"], payload["rows"])
             assert csv_path.read_bytes() == oracle.read_bytes()
+            if first_cell is not None:
+                assert csv_path.read_text().splitlines()[1].startswith(first_cell + ",")
 
     def test_user_labels_are_quoted(self, tmp_path):
         scenario = Scenario(

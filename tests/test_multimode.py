@@ -260,6 +260,25 @@ class TestRatioCriterion:
         with pytest.raises(ValueError):
             ratio_criterion(state, MultiIndex.of((0, 0)), MultiIndex.of(("1/2", 0)))
 
+    @pytest.mark.parametrize("modes", MODE_COUNTS)
+    def test_stack_matches_each_point(self, modes):
+        # fig6's order of calls: the mean photon number, then every case, on
+        # one stack whose factors and expectations are memoized between them
+        grid = (0.3, 1.0, 4.0)
+        cats = StateInput("cat", parity="both", modes=modes)
+        zeros = (0,) * (modes - 1)
+        pairs = [((0,), (2,)), ((0,), (1,)), (("1/2",), ("3/2",)), (("1/2",), ("5/2",))]
+        for label, stack in cats.stack(grid):
+            states = [dict(cats.build(alpha2))[label] for alpha2 in grid]
+            mean = mean_total_photons(stack)
+            assert mean.tolist() == [mean_total_photons(state) for state in states]
+            for n_raw, m_raw in pairs:
+                n, m = MultiIndex.of(n_raw + zeros), MultiIndex.of(m_raw + zeros)
+                got = ratio_criterion(stack, n, m)
+                points = [ratio_criterion(state, n, m) for state in states]
+                assert got.ratio.tolist() == [p.ratio for p in points]
+                assert got.verdict.tolist() == [p.verdict for p in points]
+
 
 class TestCountRatioCriterion:
     def test_divergent_at_unit_efficiency(self):

@@ -286,6 +286,28 @@ class TestCoherentStack:
         with pytest.raises(ValueError):
             CoherentStack([coherent_state(1.0), coherent_state(1.0, modes=2)])
 
+    @pytest.mark.parametrize("modes", [1, 3])
+    def test_memoized_expectations_are_read_only_and_fresh(self, modes):
+        rng = np.random.default_rng(11 + modes)
+        states = [make_cat(tuple(rng.normal(size=modes) + 1j * rng.normal(size=modes)),
+                           parity) for parity in ("even", "odd", "odd")]
+        exprs = [random_noexpr(rng) for _ in range(3)]
+        # the same expressions on other modes, in other orders, and repeated:
+        # a memo keyed by mode alone, or by position, returns stale factors
+        calls = [exprs[0], exprs[1], exprs[0], exprs[2]] if modes == 1 else [
+            (exprs[0], exprs[1], exprs[2]), (exprs[1], exprs[0], exprs[2]),
+            (exprs[2], exprs[2], exprs[0]), (exprs[0], exprs[2], exprs[1]),
+            (exprs[0], exprs[1], exprs[2])]
+        stack = CoherentStack(states)
+        for expr in calls:
+            got = expect(stack, expr)
+            want = expect(CoherentStack(states), expr)
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+            assert expect(stack, expr) is got
+            with pytest.raises(ValueError, match="read-only"):
+                got += 1.0
+
 
 class TestArrayStacks:
     """``StateInput.stack`` against the stack of the states ``build`` makes."""

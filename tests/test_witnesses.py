@@ -14,6 +14,7 @@ from clickwitness.detectors import (
 from clickwitness.numerics import HalfInt
 from clickwitness.states import CoherentStack, FockVector, coherent_state, make_cat
 from clickwitness.witnesses import (
+    _fill,
     _pair_quantities,
     _pair_sum_multi,
     _pair_sum_scalar,
@@ -25,6 +26,7 @@ from clickwitness.witnesses import (
     count_matrix,
     count_matrix_from_counts,
     enumerate_index_sets,
+    entry_quantity,
     enumerate_pnr_moment_sets,
     from_counts_entries,
     g_functions,
@@ -39,6 +41,7 @@ from clickwitness.witnesses import (
 from helpers import random_cat, random_coherent, random_coherent_mixture
 from oracles import _pair_sum as half_int_pair_sum
 from oracles import (
+    loop_fill,
     loop_from_counts_entries,
     recursive_pnr_count_sets,
     recursive_pnr_moment_sets,
@@ -227,6 +230,84 @@ class TestFromCountsEntries:
         probs[..., 5] = bad
         with pytest.raises(ValueError, match="finite"):
             from_counts_entries(counts, probs, iset, "counts")
+
+
+def same_bits(got, want):
+    return (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
+class TestFill:
+    """The one-gather ``_fill`` against the per-entry loop of ``oracles.loop_fill``."""
+
+    @pytest.mark.parametrize("cfg, kind", [
+        (DetectorConfig.onoff(31, 0.5), "counts"),
+        (DetectorConfig.pnr(8, 2, 0.5), "moments"),
+        (DetectorConfig.photoelectric(0.5), "moments"),
+    ])
+    def test_mixed_value_shapes_equal_the_loop(self, cfg, kind):
+        rng = np.random.default_rng(23)
+        specials = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -1e308]
+        shapes = [
+            lambda v: float(v[0]), lambda v: np.float64(v[0]), lambda v: np.array(v[0]),
+            lambda v: v,
+        ]
+        for iset in enumerate_index_sets(cfg):
+            dim = len(iset.elements)
+            if not 0 < dim <= 16:
+                continue
+            quantities = _pair_quantities(
+                iset.elements, lambda a, b: entry_quantity(cfg, kind, a, b))
+            distinct = list(dict.fromkeys(quantities.values()))
+            # scalars only, then scalars mixed with (G,) rows
+            for top in (3, 4):
+                values = {}
+                for k, quantity in enumerate(distinct):
+                    row = rng.standard_normal(7) * 10.0 ** rng.integers(-300, 300, 7)
+                    row[rng.integers(7)] = specials[k % len(specials)]
+                    values[quantity] = shapes[int(rng.integers(top))](row)
+                assert same_bits(_fill(dim, quantities, values),
+                                 loop_fill(dim, quantities, values))
+
+    def test_every_caller_equals_the_loop(self, monkeypatch):
+        from clickwitness import multimode, witnesses
+
+        def matrices():
+            out = []
+            stack = CoherentStack([make_cat(math.sqrt(s), parity)
+                                   for s in (0.05, 0.7, 3.0) for parity in ("even", "odd")])
+            for cfg in (DetectorConfig.onoff(8, 0.5), DetectorConfig.pnr(4, 2, 0.5),
+                        DetectorConfig.photoelectric(0.5)):
+                for iset in enumerate_index_sets(cfg):
+                    for kind in ("counts", "moments"):
+                        if not iset.elements:
+                            continue
+                        # a stack gives (G, d, d), one state (d, d)
+                        for states in (stack, coherent_state(0.8)):
+                            out.append(witnesses._state_entries(states, cfg, kind, iset, {}))
+                        if cfg.model != "photoelectric":
+                            counts = (click_distribution if cfg.model == "onoff"
+                                      else pnr_distribution)(make_cat(1.0, "odd"), cfg)
+                            # (1+R, K) redraws and a (2, 3, K) stack of them
+                            probs = np.random.default_rng(3).dirichlet(
+                                np.ones(len(counts.outcomes)), size=6)
+                            out.append(from_counts_entries(counts, probs, iset, kind))
+                            out.append(from_counts_entries(
+                                counts, probs.reshape(2, 3, -1), iset, kind))
+            for kind in ("counts", "moments"):
+                for elements in (((0, 0), (1, 0), (0, 1)), (("1/2", "1/2"), ("3/2", "1/2"),
+                                                            ("1/2", "3/2"), ("3/2", "3/2"))):
+                    report = multimode.multimode_matrices(make_cat(0.9, "odd", 2), elements,
+                                                          eta=0.8, kind=kind)
+                    out.append(report.matrix.entries)
+            return out
+
+        got = matrices()
+        monkeypatch.setattr(witnesses, "_fill", loop_fill)
+        monkeypatch.setattr(multimode, "_fill", loop_fill)
+        want = matrices()
+        assert len(got) == len(want) > 50
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
 
 
 class TestCountMatrix:
