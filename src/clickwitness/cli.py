@@ -384,7 +384,7 @@ def _cmd_sample(args) -> int:
     state_input = _state_input(args)
     if state_input.parity == "both":
         raise ValueError("sample draws one state; pass --parity even or odd")
-    # checks the state and, for --witness, the sets before anything is drawn
+    # checks the state and, for --witness, the sets and resamples before anything is drawn
     scenario = Scenario(
         name="sample", state=state_input, detector=_detector(args),
         sets=_sets_arg(args), kinds=("counts",),
@@ -392,6 +392,8 @@ def _cmd_sample(args) -> int:
     )
     cfg = scenario.detector
     isets = _resolve_sets(scenario) if args.witness else []
+    if args.witness and args.resamples < 2:
+        raise ValueError("need at least 2 bootstrap resamples")
     (state_label, state), = state_input.build(args.alpha2)
     dist = _distribution(state, cfg, args.n_max)
     run_ = sample(dist, args.shots, args.seed)

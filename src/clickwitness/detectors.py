@@ -226,7 +226,7 @@ def _tail_series(y: np.ndarray, levels: int) -> np.ndarray:
 
 
 def _shared_factors(y: np.ndarray, rows: list, levels: int):
-    """The factors of :func:`_pair_product` that do not depend on the exponents.
+    """The factors of the product form that do not depend on the exponents.
 
     Returns ``powers`` with y^j/j! for each 0 < j < K that some row raises,
     the mask ``small`` of |y| < 1, and ``last_factor``, which is pi_K(y)
@@ -249,26 +249,11 @@ def _shared_factors(y: np.ndarray, rows: list, levels: int):
     return powers, small, np.where(small, tail, head)
 
 
-def _pair_product(y: np.ndarray, overlap_exp: np.ndarray, exponents: tuple[int, ...],
-                  levels: int, powers: dict, small, last_factor) -> np.ndarray:
-    """prod_j pi_j(y)^{e_j} times exp(overlap_exp), evaluated stably.
-
-    pi_j(y) = y^j/j! exp(-y) for j < K and pi_K(y) = 1 - exp(-y) poly(y);
-    every exp(-y) factor is folded into the overlap exponent so that large
-    opposing exponents cancel analytically.  Where |y| < 1, pi_K comes from
-    the tail series, and its exp(-y) is folded too.  ``powers``, ``small``
-    and ``last_factor`` come from :func:`_shared_factors`.
-    """
-    folded = sum(exponents[:levels])
-    poly = np.ones_like(y)
-    for j in range(1, levels):
-        if exponents[j]:
-            poly = poly * powers[j] ** exponents[j]
-    last = exponents[levels]
-    if last:
-        poly = poly * last_factor ** last
-        folded = folded + np.where(small, last, 0)
-    return np.exp(overlap_exp - folded * y) * poly
+def _times_power(poly: np.ndarray, base: np.ndarray, exponents: np.ndarray) -> None:
+    """poly *= base ** e on rows with e != 0, bit for bit as base ** int(e) (numpy squares 2)."""
+    raised = base ** exponents
+    np.square(base, out=raised, where=exponents == 2)
+    np.multiply(poly, raised, out=poly, where=exponents != 0)
 
 
 # --------------------------------------------------------------------------
@@ -336,7 +321,14 @@ def _as_exponent(e) -> int:
 
 
 def _povm_values(state, cfg: DetectorConfig, levels: int, rows: list) -> list:
-    """One :func:`povm_product_value` per validated exponent row, in order."""
+    """One :func:`povm_product_value` per validated exponent row, in order.
+
+    A stack takes all R rows in one (R, G, C, C) array pass, with the bits
+    of one row at a time: pi_j(y) = y^j/j! exp(-y) for j < K and pi_K(y) =
+    1 - exp(-y) poly(y), every exp(-y) folded into the overlap exponent so
+    that large opposing exponents cancel analytically.  Where |y| < 1, pi_K
+    comes from the tail series, and its exp(-y) is folded too.
+    """
     if isinstance(state, Mixture):
         parts = [(p, _povm_values(part, cfg, levels, rows)) for p, part in state.parts]
         return [sum(p * values[q] for p, values in parts) for q in range(len(rows))]
@@ -352,16 +344,19 @@ def _povm_values(state, cfg: DetectorConfig, levels: int, rows: list) -> list:
     if state.modes != 1:
         raise ValueError("detector models address a single mode")
     y = cfg.gamma_rate * state.x[..., 0] + cfg.dark
-    overlap = state.overlap[..., 0]
-    # an overflow is reported by pair_sum, with the grid points it hit
+    exponents = np.array(rows)[:, :, None, None, None]
+    poly = np.ones((len(rows),) + y.shape, dtype=y.dtype)
+    folded = exponents[:, :levels].sum(axis=1)
+    # an overflow is reported by pair_sum, with the row and grid points it hit
     with np.errstate(over="ignore", invalid="ignore"):
-        shared = _shared_factors(y, rows, levels)
-    values = []
-    for row in rows:
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = state.pair * _pair_product(y, overlap, row, levels, *shared)
-        values.append(pair_sum(terms))
-    return values
+        powers, small, last_factor = _shared_factors(y, rows, levels)
+        for j, power in powers.items():
+            _times_power(poly, power, exponents[:, j])
+        if last_factor is not None:
+            _times_power(poly, last_factor, exponents[:, levels])
+            folded = folded + np.where(small, exponents[:, levels], 0)
+        terms = state.pair * (np.exp(state.overlap[..., 0] - folded * y) * poly)
+    return list(pair_sum(terms))
 
 
 def povm_product_value(state, cfg: DetectorConfig, exponents):

@@ -350,21 +350,24 @@ class CoherentStack:
 
 
 def pair_sum(terms: np.ndarray) -> np.ndarray:
-    """Real part of sum_ij terms[:, i, j], one value per grid point.
+    """Real part of sum_ij terms[..., i, j]: G values of (G, C, C), (R, G) of (R, G, C, C).
 
     Pairs are added one at a time in row-major order.  A sum that
     overflowed raises OverflowError; an imaginary part above 1e-10 of
-    max(1, |real part|) means a non-Hermitian input and raises too.
+    max(1, |real part|) means a non-Hermitian input and raises too.  The
+    error names the first failing row of G values, in row order.
     """
-    flat = terms.reshape(terms.shape[0], -1)
-    total = sum(flat[:, k] for k in range(flat.shape[1]))
-    if not np.all(np.isfinite(total)):
-        raise OverflowError(f"expectation is not finite: {total}")
+    flat = terms.reshape(*terms.shape[:-2], -1)
+    total = sum(flat[..., k] for k in range(flat.shape[-1]))
+    finite = np.isfinite(total)
     bad = np.abs(total.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(total.real))
-    if bad.any():
-        raise ArithmeticError(
-            f"expectation has a non-Hermitian imaginary residual: {total[bad][0]}"
-        )
+    if not finite.all() or bad.any():
+        for row, ok, off in zip(*(a.reshape(-1, a.shape[-1]) for a in (total, finite, bad))):
+            if not ok.all():
+                raise OverflowError(f"expectation is not finite: {row}")
+            if off.any():
+                raise ArithmeticError("expectation has a non-Hermitian imaginary residual: "
+                                      f"{row[off][0]}")
     return total.real
 
 

@@ -26,7 +26,9 @@ one row at a time; the package checks a whole distribution as an array and
 formats the cells that a CSV block shares once.  The input builders at the
 end make one cat from Python complex scalars and each family of pnr index
 sets by its own recursion; the package builds cats as stacks of arrays and
-every pnr family from one multi-index generator.
+every pnr family from one multi-index generator.  The per-row POVM
+evaluator takes one exponent row at a time with its own ``pair_sum``; the
+package evaluates every row of a call in one array pass.
 """
 
 import cmath
@@ -235,6 +237,47 @@ def pair_povm_product(state, rate, offset, levels, exponents):
             )
     assert abs(total.imag) <= 1e-10 * max(1.0, abs(total.real))
     return total.real
+
+
+def _row_pair_product(y, overlap_exp, exponents, levels, powers, small, last_factor):
+    """One exponent row of the product form over (G, C, C) pair arrays."""
+    folded = sum(exponents[:levels])
+    poly = np.ones_like(y)
+    for j in range(1, levels):
+        if exponents[j]:
+            poly = poly * powers[j] ** exponents[j]
+    last = exponents[levels]
+    if last:
+        poly = poly * last_factor ** last
+        folded = folded + np.where(small, last, 0)
+    return np.exp(overlap_exp - folded * y) * poly
+
+
+def row_povm_values(state, cfg, rows):
+    """``detectors._povm_values`` on coherent inputs, one exponent row at a time.
+
+    Each row makes its own product-form arrays and its own ``pair_sum``
+    call; the package evaluates every row of a call in one array pass.
+    """
+    from clickwitness.detectors import _shared_factors
+    from clickwitness.states import CoherentStack, CoherentSuperposition, Mixture, pair_sum
+
+    levels = 1 if cfg.model == "onoff" else cfg.levels
+    if isinstance(state, Mixture):
+        parts = [(p, row_povm_values(part, cfg, rows)) for p, part in state.parts]
+        return [sum(p * values[q] for p, values in parts) for q in range(len(rows))]
+    if isinstance(state, CoherentSuperposition):
+        return [float(v[0]) for v in row_povm_values(CoherentStack([state]), cfg, rows)]
+    y = cfg.gamma_rate * state.x[..., 0] + cfg.dark
+    overlap = state.overlap[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        shared = _shared_factors(y, rows, levels)
+    values = []
+    for row in rows:
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = state.pair * _row_pair_product(y, overlap, row, levels, *shared)
+        values.append(pair_sum(terms))
+    return values
 
 
 def _expanded_terms(levels, exponents):

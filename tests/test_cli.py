@@ -419,16 +419,22 @@ class TestMainEntry:
         assert not list(tmp_path.rglob("*"))
 
     def test_overflow_at_large_amplitude_exits_2(self, tmp_path, capsys):
-        # exp(|alpha|^2 eta / N) overflows in the pair sums (ROADMAP item 2).
-        code = main([
-            "sweep", "--state", "cat", "--parity", "odd", "--model", "onoff",
-            "--bins", "1", "--efficiency", "1", "--start", "800", "--stop", "900",
-            "--points", "2", "--outdir", str(tmp_path),
-        ])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert not list(tmp_path.rglob("*.csv"))
+        # exp(|alpha|^2 eta / N) overflows in the pair sums (ROADMAP item 4);
+        # the message holds the grid values of the first row that overflowed
+        for detector, start, stop in (
+            (["--model", "onoff", "--bins", "1"], "800", "900"),
+            (["--model", "pnr", "--bins", "2", "--levels", "3"], "1000", "1500"),
+        ):
+            outdir = tmp_path / detector[1]
+            code = main([
+                "sweep", "--state", "cat", "--parity", "odd", *detector,
+                "--efficiency", "1", "--start", start, "--stop", stop,
+                "--points", "2", "--outdir", str(outdir),
+            ])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "error: expectation is not finite: [nan+nanj nan+nanj]\n")
+            assert not list(outdir.rglob("*.csv"))
 
     @pytest.mark.parametrize("flags, label, dim", [
         (["--model", "onoff", "--bins", "32"], "integer", 17),
@@ -474,6 +480,15 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "pass --parity even or odd" in err
+        assert not list(tmp_path.rglob("*"))
+
+    def test_sample_with_one_resample_exits_2_before_drawing(self, tmp_path, capsys):
+        code = main([
+            "sample", "--bins", "5", "--shots", "10", "--witness", "--resamples", "1",
+            "--outdir", str(tmp_path),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: need at least 2 bootstrap resamples\n"
         assert not list(tmp_path.rglob("*"))
 
     @pytest.mark.parametrize("command", [

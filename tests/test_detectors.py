@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clickwitness.detectors import (
+    _times_power,
     CountDistribution,
     DetectorConfig,
     click_distribution,
@@ -46,6 +47,7 @@ from oracles import (
     fock_povm_reference,
     loop_clean_probs,
     pair_povm_product,
+    row_povm_values,
 )
 
 
@@ -518,6 +520,87 @@ def test_batched_povm_products_equal_single_calls_per_state_type(state):
         rows = _exponent_rows(cfg)
         batched = povm_product_value(state, cfg, rows)
         assert batched == [povm_product_value(state, cfg, row) for row in rows]
+
+
+@st.composite
+def row_kernel_cases(draw):
+    """(state, config, rows) on the product-form route, rows in any order.
+
+    The state is a stack, a one-point superposition or a mixture of them;
+    amplitudes up to |alpha|^2 = 40 put |y| on both sides of 1.
+    """
+    levels = draw(st.sampled_from([1, 2, 3]))
+    bins = draw(st.integers(1, 12 if levels == 1 else 6))
+    eta = draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+    dark = draw(st.sampled_from([0.0, 0.02, 1.5]))
+    cfg = (DetectorConfig.onoff(bins, eta, dark) if levels == 1
+           else DetectorConfig.pnr(bins, levels, eta, dark))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    makers = [lambda: random_cat(rng, max_abs2=40.0),
+              lambda: random_coherent(rng, max_abs2=40.0),
+              lambda: random_superposition(rng, max_abs2=20.0),
+              lambda: make_cat(0.1, "odd")]
+    states = [makers[i]() for i in draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))]
+    form = draw(st.sampled_from(["stack", "single", "mixture"]))
+    if form == "stack":
+        state = CoherentStack(states)
+    elif form == "single":
+        state = states[0]
+    else:
+        weights = rng.dirichlet(np.ones(len(states) + 1))
+        state = Mixture(tuple(zip(weights.tolist(), states + [coherent_state(0.3)])))
+    rows = draw(st.lists(st.sampled_from(_exponent_rows(cfg)), min_size=1, max_size=12))
+    return state, cfg, rows
+
+
+def _bits(values):
+    return [(type(v), np.asarray(v).tobytes()) for v in values]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(row_kernel_cases())
+def test_one_array_pass_equals_the_row_loop_bit_for_bit(case):
+    state, cfg, rows = case
+    want = row_povm_values(state, cfg, rows)
+    assert _bits(povm_product_value(state, cfg, rows)) == _bits(want)
+    assert _bits([povm_product_value(state, cfg, rows[0])]) == _bits(want[:1])
+
+
+def test_row_powers_keep_the_bits_of_one_row_at_a_time():
+    # numpy squares for a Python int exponent 2 and takes the complex power
+    # otherwise; a row whose exponent is 0 keeps its value, -0.0, inf and
+    # nan included
+    rng = np.random.default_rng(79)
+    shape = (4, 2, 2)
+    base = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * np.exp(
+        rng.uniform(-40.0, 40.0, shape))
+    poly = rng.normal(size=(32,) + shape) + 1j * rng.normal(size=(32,) + shape)
+    specials = [complex(-0.0, -0.0), complex(math.inf, 1.0), complex(math.nan, 0.0)]
+    base.flat[:3] = specials
+    poly.reshape(32, -1)[:, :3] = specials
+    exponents = np.arange(32)[:, None, None, None]
+    got = poly.copy()
+    with np.errstate(all="ignore"):
+        _times_power(got, base, exponents)
+        want = [poly[0]] + [poly[e] * base ** e for e in range(1, 32)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_the_first_failing_row_is_reported():
+    # at |alpha|^2 = 1500 the rows (0, 2), (0, 3) and (1, 2) overflow, each
+    # next to a different finite value at |alpha|^2 = 1
+    stack = CoherentStack([make_cat(1.0, "odd"), make_cat(math.sqrt(1500.0), "odd")])
+    cfg = DetectorConfig.onoff(3, 1.0)
+    messages = {}
+    for row in ((0, 3), (0, 2), (1, 2)):
+        with pytest.raises(OverflowError) as info:
+            row_povm_values(stack, cfg, [row])
+        messages[row] = str(info.value)
+    assert len(set(messages.values())) == 3
+    for rows in ([(1, 0), (0, 3), (0, 2), (1, 2)], [(1, 1), (1, 2), (0, 2), (0, 3)]):
+        first = next(row for row in rows if row in messages)
+        with pytest.raises(OverflowError, match=re.escape(messages[first]) + "$"):
+            povm_product_value(stack, cfg, rows)
 
 
 class TestIntegerExponents:

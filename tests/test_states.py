@@ -17,6 +17,7 @@ from clickwitness.states import (
     expect_any,
     expect_fock,
     make_cat,
+    pair_sum,
     to_fock,
 )
 from helpers import (
@@ -500,3 +501,25 @@ def test_expect_any_dispatch():
     assert value == pytest.approx(
         0.5 * math.tanh(1.0) + 0.5 * 1.0, rel=1e-12
     )
+
+
+class TestPairSum:
+    def test_rows_give_one_value_per_grid_point(self):
+        terms = np.array([[[[1.0, 2.0j], [-2.0j, 3.0]]], [[[0.5, 0.0], [0.0, -1.0]]]])
+        assert pair_sum(terms).tolist() == [[4.0], [-0.5]]
+        assert pair_sum(terms[0]).tolist() == [4.0]
+
+    def test_the_first_failing_row_is_reported(self):
+        # row 1 has a residual and row 2 a nan; the message names the first
+        terms = np.array([[1.0, 2.0], [3.0, 4.0 + 1e-3j], [math.nan, 5.0]])[:, :, None, None]
+        with pytest.raises(ArithmeticError, match=re.escape("residual: (4+0.001j)")):
+            pair_sum(terms)
+        message = f"expectation is not finite: {terms[2, :, 0, 0]}"
+        with pytest.raises(OverflowError, match=re.escape(message) + "$"):
+            pair_sum(terms[::-1])
+
+    def test_a_non_finite_row_is_reported_before_its_residual(self):
+        terms = np.array([[math.nan, 4.0 + 1e-3j]])[:, :, None, None]
+        message = f"expectation is not finite: {terms[0, :, 0, 0]}"
+        with pytest.raises(OverflowError, match=re.escape(message) + "$"):
+            pair_sum(terms)
