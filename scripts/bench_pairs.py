@@ -10,8 +10,10 @@ unignored files, into two sibling temporary directories, and runs
 run from directories of the same depth, since ``peak_rss_mb`` moves with the
 directory a tree runs from.  Every workload of BENCHMARK.json runs PAIRS times
 per side, for the benchmark's ``run_seconds``.  Pair i uses seed S + i for
-every workload; the parent runs first in even pairs and the change first in
-odd ones.  The output holds every run, each side's median and quartiles per
+every workload.  The workload order rotates by one per pair, so that each
+workload leads about as often as any other; each workload's two sides run
+back to back, the parent first in even pairs and the change first in odd
+ones.  The output holds every run, each side's median and quartiles per
 metric, the pairs the change won, the parent's interquartile range, and
 whether a claimed gain holds: the change wins at least 9 in 10 pairs and
 the medians differ by more than the parent's IQR.  Optional traced pairs
@@ -75,6 +77,18 @@ def copy_worktree(root: Path, dest: Path) -> None:
 def order(pair: int) -> tuple[str, str]:
     """Sides in run order: the parent first in even pairs."""
     return SIDES if pair % 2 == 0 else SIDES[::-1]
+
+
+def schedule(pair: int, workloads: list) -> list:
+    """(workload, side) runs of one pair in order.
+
+    The workload order rotates by one per pair, so that no workload always
+    runs first or after the same one; each workload's two sides run back to
+    back, in :func:`order`.
+    """
+    shift = pair % len(workloads)
+    return [(workload, side) for workload in workloads[shift:] + workloads[:shift]
+            for side in order(pair)]
 
 
 def bench_run(root: Path, workload: str, seed: int, seconds: float,
@@ -233,10 +247,9 @@ def main(argv=None) -> int:
 
         for pair in range(PAIRS):
             seed = args.seed_base + pair
-            for workload in workloads:
-                for side in order(pair):
-                    record(runs, pair, workload, side, seed,
-                           bench_run(roots[side], workload, seed, seconds, 0))
+            for workload, side in schedule(pair, workloads):
+                record(runs, pair, workload, side, seed,
+                       bench_run(roots[side], workload, seed, seconds, 0))
         for k, workload in enumerate(args.trace_workloads):
             seed = args.seed_base + PAIRS + k
             for side in order(k):
@@ -256,7 +269,9 @@ def main(argv=None) -> int:
         "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g}"
                    " --trace 0",
         "protocol": f"{PAIRS} pairs per workload at seeds {args.seed_base}-"
-                    f"{args.seed_base + PAIRS - 1}; parent first in even pairs",
+                    f"{args.seed_base + PAIRS - 1}; workload order rotated by one "
+                    "per pair, each workload's two sides back to back, parent "
+                    "first in even pairs",
         **summarize([r for r in runs if r["metrics"]], better, claim),
         "traced": summarize_traced([r for r in traced if r["metrics"]]),
         "cli_sample_witness": cli,

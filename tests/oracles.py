@@ -580,6 +580,26 @@ def scalar_splitmix(seed, count, start=0):
     return out
 
 
+def seed_drawing(m, shot):
+    """A seed whose SplitMix64 output ``shot`` has the integer draw ``m``.
+
+    Inverts the output rounds: an odd multiplier has an inverse mod 2^64,
+    and y = x ^ (x >> r) is undone by repeating x = y ^ (x >> r).
+    """
+    mask = (1 << 64) - 1
+
+    def unshift(y, r):
+        x = y
+        for _ in range(64 // r):
+            x = y ^ (x >> r)
+        return x
+
+    z = unshift(m << 11 | 0x5A5, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & mask, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask, 30)
+    return (z - (shot + 1) * 0x9E3779B97F4A7C15) & mask
+
+
 def uniform01(seed, count, start=0):
     """``count`` doubles in [0, 1) from SplitMix64 outputs ``start`` on."""
     from clickwitness.sampler import splitmix64

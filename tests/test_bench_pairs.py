@@ -39,6 +39,21 @@ def test_sides_alternate(pairs):
         ("parent", "change"), ("change", "parent"), ("parent", "change")]
 
 
+def test_schedule_rotates_workloads_and_keeps_sides_alternating(pairs):
+    workloads = ["paper-figures", "wide-sets", "sampling"]
+    plans = [pairs.schedule(k, workloads) for k in range(pairs.PAIRS)]
+    assert plans[1] == [("wide-sets", "change"), ("wide-sets", "parent"),
+                        ("sampling", "change"), ("sampling", "parent"),
+                        ("paper-figures", "change"), ("paper-figures", "parent")]
+    leads = [plan[0][0] for plan in plans]
+    assert all(3 <= leads.count(w) <= 4 for w in workloads)
+    for k, plan in enumerate(plans):
+        for w in workloads:
+            at = [i for i, (name, _) in enumerate(plan) if name == w]
+            assert at[1] == at[0] + 1
+            assert (plan[at[0]][1], plan[at[1]][1]) == pairs.order(k)
+
+
 def test_quartiles_use_the_inclusive_method(pairs):
     runs = [0.47, 0.4204, 0.4234, 0.4279, 0.4286, 0.4308, 0.4319, 0.4321,
             0.4349, 0.4401]

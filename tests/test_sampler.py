@@ -13,6 +13,7 @@ import oracles
 from oracles import (
     histogram_distribution,
     scalar_splitmix,
+    seed_drawing,
     single_pass_counts,
     uniform01,
 )
@@ -27,6 +28,9 @@ from clickwitness.numerics import leading_minors
 from clickwitness.sampler import (
     _CHUNK as CHUNK,
     _GOLDEN as GOLDEN,
+    _MAX_COMPARED,
+    _count_by_buckets,
+    _count_by_comparison,
     _mix_rounds,
     derive_seed,
     empirical_witness,
@@ -77,7 +81,8 @@ class TestGenerator:
         assert type(derive_seed(seed)) is int
 
     def test_two_rounds_fix_the_top_31_bits(self):
-        # sample reads its bucket indices before the last round z ^= z >> 31.
+        # sample reads its comparison prefixes and bucket indices before the
+        # last round z ^= z >> 31.
         rng = np.random.default_rng(16)
         sums = [int(v) for v in rng.integers(0, 2 ** 63, 2000, dtype=np.uint64)]
         sums += [int(v) << 1 | 1 for v in rng.integers(0, 2 ** 63, 2000, dtype=np.uint64)]
@@ -179,6 +184,19 @@ class TestSample:
         assert first.counts == second.counts
         assert sum(first.counts) == shots
 
+    @pytest.mark.parametrize("shots", [1e6, 1e9])
+    def test_float_shots_rejected_before_drawing(self, shots):
+        # Read before the cap check and the draw, like the seed.
+        dist = click_distribution(coherent_state(1.0), ONOFF5)
+        with pytest.raises(TypeError, match="integer"):
+            sample(dist, shots, seed=1)
+
+    @pytest.mark.parametrize("shots", [True, np.int64(3)])
+    def test_integer_like_shots_stored_as_int(self, shots):
+        run = sample(click_distribution(coherent_state(1.0), ONOFF5), shots, seed=1)
+        assert type(run.shots) is int and run.shots == int(shots)
+        assert sum(run.counts) == run.shots
+
     def test_zero_shots_rejected(self):
         dist = click_distribution(coherent_state(1.0), ONOFF5)
         with pytest.raises(ValueError):
@@ -213,7 +231,10 @@ class TestSample:
 @st.composite
 def draw_cases(draw):
     """(probs, shots, seed) covering the integer draw's corner cases."""
-    size = draw(st.integers(1, 5000))
+    # A third of the cases have at most 8 outcomes, around the crossover
+    # between the comparison and the bucket counters.
+    size = draw(st.integers(1, 8) if draw(st.integers(0, 2)) == 0
+                else st.integers(1, 5000))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     probs = rng.random(size) ** draw(st.sampled_from([1.0, 4.0, 30.0]))
     probs[rng.random(size) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
@@ -249,6 +270,62 @@ class TestIntegerDraw:
             p0 = (m + offset) * 2.0 ** -53
             dist = CountDistribution("click", (0, 1), (p0, 1.0 - p0))
             assert sample(dist, 1, seed).counts == want == single_pass_counts(dist, 1, seed)
+
+    # A shot in the first chunk, a middle one and the partial last one.
+    @pytest.mark.parametrize("shot", [5, CHUNK + 100, 3 * CHUNK + 3])
+    # Prefixes X = m >> 22 inside the range and at its top, 2^31 - 1.
+    @pytest.mark.parametrize("m", [3 << 50 | 12345, ((1 << 31) - 1) << 22 | 777])
+    def test_thresholds_at_and_beside_a_drawn_shot(self, shot, m):
+        # Thresholds m - 1, m and m + 1 share the shot's top 31 bits, so only
+        # its last round decides: it lands on outcome 2.
+        shots = 3 * CHUNK + 7
+        seed = seed_drawing(m, shot)
+        assert (m - 1) >> 22 == (m + 1) >> 22 == m >> 22
+        cdf = [(m + d) * 2.0 ** -53 for d in (-1, 0, 1)]
+        probs = (cdf[0], cdf[1] - cdf[0], cdf[2] - cdf[1], 1.0 - cdf[2])
+        dist = CountDistribution("click", (0, 1, 2, 3), probs)
+        counts = sample(dist, shots, seed).counts
+        assert counts == single_pass_counts(dist, shots, seed)
+        assert counts[2] == 1
+        # With one threshold t, the shot is at or above m - 1 and m, below m + 1.
+        got = {}
+        for t in (m - 1, m, m + 1):
+            two = CountDistribution("click", (0, 1), (t * 2.0 ** -53, 1 - t * 2.0 ** -53))
+            got[t] = sample(two, shots, seed).counts
+            assert got[t] == single_pass_counts(two, shots, seed)
+        assert got[m - 1] == got[m]
+        assert got[m][1] == got[m + 1][1] + 1
+
+    @pytest.mark.parametrize("probs", [
+        (0.0, 0.0, 0.3, 0.7),
+        (0.25, 0.75 + 5e-11, 0.0, 0.0),
+        (0.0, 0.3, 0.7 + 5e-11, 1e-20),
+        (0.3, 0.7 - 1e-10, 1e-10),
+        (1.0,),
+        (0.0, 0.0, 1.0),
+    ])
+    def test_thresholds_outside_the_draw_range(self, probs):
+        # Leading zero outcomes have t <= 0 and hold every shot at or above
+        # them; a CDF past 1 before the last outcome gives t >= 2^53; 1e-10
+        # last puts the inner threshold before it at X = 2^31 - 1.
+        dist = CountDistribution("click", tuple(range(len(probs))), probs)
+        for shots, seed in ((CHUNK + 9, 7), (3 * CHUNK + 7, 2 ** 64 - 1)):
+            assert sample(dist, shots, seed).counts == single_pass_counts(dist, shots, seed)
+
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_both_counters_agree_at_every_small_size(self, size):
+        # sample picks one counter by _MAX_COMPARED; each is checked here
+        # on both sides of it.
+        probs = np.random.default_rng(size).random(size)
+        probs /= probs.sum()
+        dist = CountDistribution("click", tuple(range(size)), tuple(probs))
+        thresholds = np.ceil(np.cumsum(probs) * 2.0 ** 53).astype(np.int64)
+        inner = np.arange(size - 1)
+        want = single_pass_counts(dist, 2 * CHUNK + 5, 3)
+        assert tuple(_count_by_comparison(thresholds, inner, 3, 2 * CHUNK + 5)) == want
+        assert tuple(_count_by_buckets(thresholds, 3, 2 * CHUNK + 5)) == want
+        assert sample(dist, 2 * CHUNK + 5, 3).counts == want
+        assert 1 <= _MAX_COMPARED < 8
 
     def test_large_outcome_space(self):
         # 2^18 buckets, the widest; a few outcomes hold most of the mass.
