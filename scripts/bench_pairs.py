@@ -16,8 +16,10 @@ back to back, the parent first in even pairs and the change first in odd
 ones.  The output holds every run, each side's median and quartiles per
 metric, the pairs the change won, the parent's interquartile range, and
 whether a claimed gain holds: the change wins at least 9 in 10 pairs and
-the medians differ by more than the parent's IQR.  Optional traced pairs
-(``--trace 1``, TRACE_SECONDS long) give per-layer medians per side.  Two
+the medians differ by more than the parent's IQR.  Optional traced runs
+(``--trace 1``, TRACE_SECONDS long) give per-layer medians per side, over
+TRACE_PAIRS alternating pairs per traced workload, each pair with a seed of
+its own past the untraced ones.  Two
 runs per side of ``clickwitness sample --witness`` at each of CLI_SHOTS add
 wall time and peak RSS.  Run it from the repository root on an otherwise
 idle host.
@@ -41,6 +43,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 PAIRS = 10
+# One traced pair cannot tell a 10% layer move from the host's drift.
+TRACE_PAIRS = 3
 TRACE_SECONDS = 15.0
 CLI_SHOTS = (10**6, 10**8)
 # The experimenter's command of ROADMAP's end-to-end targets.
@@ -89,6 +93,19 @@ def schedule(pair: int, workloads: list) -> list:
     shift = pair % len(workloads)
     return [(workload, side) for workload in workloads[shift:] + workloads[:shift]
             for side in order(pair)]
+
+
+def traced_schedule(workloads: list, seed_base: int) -> list:
+    """(pair, workload, side, seed) of every traced run, in order.
+
+    Each workload runs TRACE_PAIRS pairs back to back, numbered on from 0
+    across workloads; pair k takes seed ``seed_base + PAIRS + k`` and runs
+    its sides in :func:`order`.
+    """
+    pairs = [(k * TRACE_PAIRS + i, workload)
+             for k, workload in enumerate(workloads) for i in range(TRACE_PAIRS)]
+    return [(pair, workload, side, seed_base + PAIRS + pair)
+            for pair, workload in pairs for side in order(pair)]
 
 
 def bench_run(root: Path, workload: str, seed: int, seconds: float,
@@ -191,7 +208,10 @@ def summarize(runs: list, better: dict, claim: tuple | None = None) -> dict:
 
 
 def summarize_traced(runs: list) -> dict:
-    """Median of every traced metric per workload and side, largest moves first."""
+    """Median of every traced metric per workload and side over all its runs.
+
+    Metrics come largest relative move first.
+    """
     table = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         per_side = {side: [run["metrics"] for run in runs
@@ -250,11 +270,10 @@ def main(argv=None) -> int:
             for workload, side in schedule(pair, workloads):
                 record(runs, pair, workload, side, seed,
                        bench_run(roots[side], workload, seed, seconds, 0))
-        for k, workload in enumerate(args.trace_workloads):
-            seed = args.seed_base + PAIRS + k
-            for side in order(k):
-                record(traced, k, workload, side, seed,
-                       bench_run(roots[side], workload, seed, TRACE_SECONDS, 1))
+        for pair, workload, side, seed in traced_schedule(args.trace_workloads,
+                                                          args.seed_base):
+            record(traced, pair, workload, side, seed,
+                   bench_run(roots[side], workload, seed, TRACE_SECONDS, 1))
         for k, shots in enumerate(CLI_SHOTS):
             for repeat in range(2):
                 for side in order(k + repeat):
@@ -271,7 +290,8 @@ def main(argv=None) -> int:
         "protocol": f"{PAIRS} pairs per workload at seeds {args.seed_base}-"
                     f"{args.seed_base + PAIRS - 1}; workload order rotated by one "
                     "per pair, each workload's two sides back to back, parent "
-                    "first in even pairs",
+                    f"first in even pairs; {TRACE_PAIRS} traced pairs per traced "
+                    "workload, alternating, at the seeds that follow",
         **summarize([r for r in runs if r["metrics"]], better, claim),
         "traced": summarize_traced([r for r in traced if r["metrics"]]),
         "cli_sample_witness": cli,

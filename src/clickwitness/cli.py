@@ -134,10 +134,12 @@ def _matrix_blocks(scenario: Scenario) -> Blocks:
     grid = scenario.sweep.grid()
     shared = (cfg.efficiency, cfg.bins, cfg.levels, scenario.state.modes)
     blocks: Blocks = {}
-    for state_label, states in scenario.state.stack(grid):
-        values: dict = {}
-        for kind in scenario.kinds:
-            for iset in isets:
+    # State labels innermost: sibling stacks ask for the same quantities in
+    # turn, so the second takes the first's hand-off (CoherentStack.handoff).
+    labelled = [(label, states, {}) for label, states in scenario.state.stack(grid)]
+    for kind in scenario.kinds:
+        for iset in isets:
+            for state_label, states, values in labelled:
                 min_eig, verdicts = min_eig_sweep(states, cfg, kind, iset, values)
                 _add_rows(blocks, (iset.label, f"{kind}_min_eig"), shared,
                           state_label, grid, min_eig, verdicts)

@@ -327,7 +327,11 @@ def _povm_values(state, cfg: DetectorConfig, levels: int, rows: list) -> list:
     of one row at a time: pi_j(y) = y^j/j! exp(-y) for j < K and pi_K(y) =
     1 - exp(-y) poly(y), every exp(-y) folded into the overlap exponent so
     that large opposing exponents cancel analytically.  Where |y| < 1, pi_K
-    comes from the tail series, and its exp(-y) is folded too.
+    comes from the tail series, and its exp(-y) is folded too.  Everything
+    but the pair weights depends on the amplitudes only: that product goes
+    through :meth:`~.states.CoherentStack.handoff`, so of two sibling
+    stacks asking in turn for the same (gamma, nu, K, rows) only the first
+    computes it.
     """
     if isinstance(state, Mixture):
         parts = [(p, _povm_values(part, cfg, levels, rows)) for p, part in state.parts]
@@ -343,19 +347,24 @@ def _povm_values(state, cfg: DetectorConfig, levels: int, rows: list) -> list:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     if state.modes != 1:
         raise ValueError("detector models address a single mode")
-    y = cfg.gamma_rate * state.x[..., 0] + cfg.dark
-    exponents = np.array(rows)[:, :, None, None, None]
-    poly = np.ones((len(rows),) + y.shape, dtype=y.dtype)
-    folded = exponents[:, :levels].sum(axis=1)
-    # an overflow is reported by pair_sum, with the row and grid points it hit
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def amplitude_product():
+        y = cfg.gamma_rate * state.x[..., 0] + cfg.dark
+        exponents = np.array(rows)[:, :, None, None, None]
+        poly = np.ones((len(rows),) + y.shape, dtype=y.dtype)
+        folded = exponents[:, :levels].sum(axis=1)
         powers, small, last_factor = _shared_factors(y, rows, levels)
         for j, power in powers.items():
             _times_power(poly, power, exponents[:, j])
         if last_factor is not None:
             _times_power(poly, last_factor, exponents[:, levels])
             folded = folded + np.where(small, exponents[:, levels], 0)
-        terms = state.pair * (np.exp(state.overlap[..., 0] - folded * y) * poly)
+        return np.exp(state.overlap[..., 0] - folded * y) * poly
+
+    key = (cfg.gamma_rate, cfg.dark, tuple(rows))  # a row's length fixes K
+    # an overflow is reported by pair_sum, with the row and grid points it hit
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = state.pair * state.handoff(key, amplitude_product)
     return list(pair_sum(terms))
 
 

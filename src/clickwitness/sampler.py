@@ -170,8 +170,8 @@ def _mixed_chunks(seed: int, shots: int):
 
     Yields (z, tmp) pairs of ``_CHUNK`` (the last one shorter) uint64
     arrays: z holds the chunk's sums after :func:`_mix_rounds`, tmp is
-    scratch of z's shape.  Both are views of two buffers that every chunk
-    overwrites.
+    scratch of z's shape, free for the caller until the next chunk.  Both
+    are views of two buffers that every chunk overwrites.
     """
     # Counter k's sum (seed + (k+1) GOLDEN) mod 2^64 is the chunk's offset
     # plus steps[k - start].
@@ -207,11 +207,11 @@ def _count_by_comparison(thresholds: np.ndarray, inner: np.ndarray, seed: int,
         # No h reaches 2 X_j + 2 = 2^32 when X_j = 2^31 - 1.
         above = np.uint32(2 * top + 2) if top < (1 << 31) - 1 else None
         tests.append((j, t, top, np.uint32(2 * top), above))
-    high = np.empty(min(_CHUNK, shots), dtype=np.uint32)
-    hit = np.empty(high.shape, dtype=bool)
     # With no inner threshold, no draw decides an outcome.
-    for zk, _ in _mixed_chunks(seed, shots) if tests else ():
-        h, hk = high[:zk.size], hit[:zk.size]
+    for zk, tk in _mixed_chunks(seed, shots) if tests else ():
+        # h and its mask hk take 4 and 1 of the scratch's 8 bytes per shot.
+        scratch, k = tk.view(np.uint8), zk.size
+        h, hk = scratch[:4 * k].view(np.uint32), scratch[4 * k:5 * k].view(bool)
         np.copyto(h, zk.view(np.uint32)[_HIGH_WORD::2])
         for j, t, top, prefix, above in tests:
             sure = 0 if above is None else np.count_nonzero(

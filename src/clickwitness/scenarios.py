@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detectors import DetectorConfig
+from .multimode import MAX_MODES
 from .numerics import HalfInt
 from .states import CoherentStack, FockVector, StateSpec, cat_stacks
 
@@ -149,6 +150,9 @@ class Scenario:
                 raise ValueError(f"{name} has duplicate entries: {list(values)}")
         if any(modes < 1 for modes in self.mode_counts):
             raise ValueError(f"mode_counts must be >= 1, got {list(self.mode_counts)}")
+        if any(modes > MAX_MODES for modes in self.mode_counts):
+            raise ValueError(f"mode_counts are capped at MAX_MODES = {MAX_MODES}, "
+                             f"got {max(self.mode_counts)}")
         if tuple(self.criteria) == MATRIX_CRITERIA:
             if self.detector is None:
                 raise ValueError("matrix scenarios need a detector config")

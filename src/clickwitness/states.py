@@ -211,7 +211,9 @@ def cat_stacks(amplitudes: np.ndarray, parities) -> list["CoherentStack"]:
     is :func:`cat_weight` of sum_m |alpha_m|^2 taken on Python floats.  A
     zero row is the vacuum, padded with a zero-weight component, and a stack
     whose every row is zero is one component wide; an odd cat there raises
-    ValueError.  Normalization is left to the caller.
+    ValueError.  Normalization is left to the caller.  The stacks are
+    siblings: they share one amplitude part (see :class:`CoherentStack`),
+    as the parity sign lives only in the weights.
     """
     pumped = [sum(abs(a) ** 2 for a in row) for row in amplitudes.tolist()]
     vacuum = np.array([p == 0.0 for p in pumped])
@@ -227,7 +229,9 @@ def cat_stacks(amplitudes: np.ndarray, parities) -> list["CoherentStack"]:
         sign = 1.0 if parity == "even" else -1.0
         first = np.array([1.0 if p == 0.0 else cat_weight(p, sign) for p in pumped])
         weights = np.stack([first, np.where(vacuum, 0.0, sign * first)], axis=1)
-        stacks.append(CoherentStack.from_arrays(weights[:, :width].astype(complex), components))
+        stack = CoherentStack.__new__(CoherentStack)
+        stack._set(weights[:, :width].astype(complex), components, stacks[0] if stacks else None)
+        stacks.append(stack)
     return stacks
 
 
@@ -272,6 +276,11 @@ class CoherentStack:
     For its lifetime a stack memoizes, as read-only arrays, each per-mode
     factor of :func:`expect`, keyed by (mode, expression), and each
     expectation, keyed by its per-mode expression tuple.
+
+    The stacks of :func:`cat_stacks` are siblings on one amplitude array.
+    They share the amplitude part: ``x``, ``overlap``, the factor memo and
+    the slot of :meth:`handoff`.  ``weights``, ``pair`` and the expectation
+    memo stay their own.
     """
 
     def __init__(self, states: Sequence[CoherentSuperposition]):
@@ -299,14 +308,38 @@ class CoherentStack:
         stack._set(weights, amplitudes)
         return stack
 
-    def _set(self, weights: np.ndarray, amplitudes: np.ndarray) -> None:
+    def _set(self, weights: np.ndarray, amplitudes: np.ndarray,
+             sibling: "CoherentStack | None" = None) -> None:
         self.weights = w = weights
         self.amplitudes = a = amplitudes
         self.pair = w.conj()[:, :, None] * w[:, None, :]
+        self._expectations = {}
+        if sibling is not None:  # ``amplitudes`` is the sibling's
+            if sibling._handoff is None:
+                sibling._handoff = {}
+            self.x, self.overlap = sibling.x, sibling.overlap
+            self._factors, self._handoff = sibling._factors, sibling._handoff
+            return
         self.x = a.conj()[:, :, None, :] * a[:, None, :, :]
         norm = np.abs(a) ** 2
         self.overlap = -0.5 * (norm[:, :, None, :] + norm[:, None, :, :]) + self.x
-        self._factors, self._expectations = {}, {}
+        self._factors, self._handoff = {}, None
+
+    def handoff(self, key, compute):
+        """``compute()``, an array that depends on the amplitude part only.
+
+        A stack with siblings keeps the array it computes for the next call
+        under ``key``, its own or a sibling's, which takes it; a call under
+        another key drops it.  A stack without siblings keeps nothing.
+        """
+        if self._handoff is None:
+            return compute()
+        value = self._handoff.pop(key, None)
+        if value is None:
+            value = compute()
+            self._handoff.clear()
+            self._handoff[key] = value
+        return value
 
     def factor(self, mode: int, expr: NOExpr) -> np.ndarray:
         """``expr.values`` at the (G, C, C) pairs of ``mode``; memoized, read-only."""
@@ -380,7 +413,9 @@ def expect(state, expr):
     one expression per mode and the product over modes is taken.  A
     :class:`CoherentStack` gives a read-only array with one value per grid
     point, memoized by the stack, as are the per-mode factors, which are
-    multiplied in mode order; a single superposition is the one-point stack.
+    multiplied in mode order; sibling stacks share the factor memo, so each
+    factor is evaluated once for all parities.  A single superposition is
+    the one-point stack.
     """
     if isinstance(state, CoherentStack):
         exprs = _per_mode_exprs(expr, state.modes)

@@ -124,6 +124,31 @@ def test_traced_medians_sorted_by_relative_move(pairs):
     assert table["b"] == {"parent": 4.0, "change": 2.0, "relative_change": -0.5}
 
 
+def test_traced_schedule_runs_alternating_pairs_with_seeds_of_their_own(pairs):
+    plan = pairs.traced_schedule(["paper-figures", "wide-sets"], 100)
+    assert pairs.TRACE_PAIRS == 3
+    assert len(plan) == 2 * 2 * pairs.TRACE_PAIRS
+    assert [workload for _, workload, _, _ in plan] == ["paper-figures"] * 6 + ["wide-sets"] * 6
+    assert [pair for pair, *_ in plan] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+    for pair, _, _, seed in plan:
+        assert seed == 100 + pairs.PAIRS + pair
+    # the untraced pairs use seeds 100 .. 100 + PAIRS - 1
+    assert min(seed for *_, seed in plan) == 100 + pairs.PAIRS
+    for k in range(6):
+        sides = tuple(side for pair, _, side, _ in plan if pair == k)
+        assert sides == pairs.order(k)
+    assert pairs.traced_schedule([], 100) == []
+
+
+def test_traced_medians_take_every_pair(pairs):
+    runs = [{"workload": "sampling", "side": side, "metrics": {"busy_s": value}}
+            for side, values in (("parent", (3.0, 1.0, 2.0)), ("change", (1.5, 9.0, 1.0)))
+            for value in values]
+    row = pairs.summarize_traced(runs)["sampling"]["busy_s"]
+    assert row["parent"] == 2.0 and row["change"] == 1.5
+    assert row["relative_change"] == pytest.approx(-0.25)
+
+
 def test_worktree_copy_takes_tracked_and_unignored_files(pairs, tmp_path):
     repo, dest = tmp_path / "repo", tmp_path / "copy"
     files = {".gitignore": "ignored.txt\nbuild/\n", "tracked.txt": "committed",

@@ -16,6 +16,7 @@ from clickwitness.scenarios import (
     scenario_from_json,
 )
 from clickwitness.detectors import DetectorConfig
+from clickwitness.multimode import MAX_MODES
 from clickwitness.states import FockVector
 from clickwitness.witnesses import count_matrix, enumerate_index_sets
 from oracles import write_rows_csv
@@ -106,6 +107,25 @@ class TestScenarioParsing:
         assert main(["sweep", "--scenario", str(path), "--outdir", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_mode_count_above_the_cap_exits_2_before_evaluation(
+            self, tmp_path, capsys, monkeypatch):
+        # a mode count of 9 used to run and write case_*_mu9_* files
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("an expectation was evaluated")
+
+        monkeypatch.setattr("clickwitness.multimode.expect", no_evaluation)
+        base = dict(self.BASE, detector=None, sets=None, criteria=list(RATIO_CRITERIA),
+                    mode_counts=[2, MAX_MODES + 1], cases=["ii"])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(base))
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(path), "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"mode_counts are capped at MAX_MODES = {MAX_MODES}, got {MAX_MODES + 1}" in err
+        assert not out.exists()
+        at_cap = scenario_from_json(json.dumps(dict(base, mode_counts=[MAX_MODES])))
+        assert at_cap.mode_counts == (MAX_MODES,)
 
     def test_duplicate_kind_flags_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"

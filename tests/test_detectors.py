@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -26,11 +27,14 @@ from clickwitness.detectors import (
     pnr_povm,
     povm_product_value,
 )
+from clickwitness.scenarios import StateInput
 from clickwitness.states import (
     CoherentStack,
     FockVector,
     Mixture,
+    cat_stacks,
     coherent_state,
+    expect,
     expect_any,
     make_cat,
     to_fock,
@@ -39,6 +43,7 @@ from helpers import (
     random_cat,
     random_coherent,
     random_coherent_mixture,
+    random_noexpr,
     random_superposition,
 )
 from oracles import (
@@ -564,6 +569,120 @@ def test_one_array_pass_equals_the_row_loop_bit_for_bit(case):
     want = row_povm_values(state, cfg, rows)
     assert _bits(povm_product_value(state, cfg, rows)) == _bits(want)
     assert _bits([povm_product_value(state, cfg, rows[0])]) == _bits(want[:1])
+
+
+def _sibling(weights, amplitudes, first=None):
+    """A stack of ``weights`` on ``amplitudes``, a sibling of ``first`` when given."""
+    stack = CoherentStack.__new__(CoherentStack)
+    stack._set(weights, amplitudes, first)
+    return stack
+
+
+def _evaluate(stack, request):
+    if isinstance(request[0], DetectorConfig):
+        return np.array(povm_product_value(stack, *request)).tobytes()
+    return expect(stack, request).tobytes()
+
+
+@st.composite
+def sibling_cases(draw):
+    """Two sibling stacks, the same two stacks built alone, requests and calls.
+
+    The siblings are cats of both parities from ``cat_stacks``, or two
+    complex weightings of one set of random complex two-component
+    amplitudes, in 1-3 modes.  Requests are kernel calls (one mode only) and
+    per-mode expressions; the second of each kind differs from the first in
+    one part, so that a hand-off under the wrong key would show.  Calls name
+    a sibling and a request, in any order.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    modes, points = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    shape = (points, modes)
+    amplitudes = np.sqrt(rng.uniform(0.01, 12.0, shape)) * np.exp(
+        2j * np.pi * rng.uniform(size=shape))
+    if draw(st.booleans()):
+        siblings = cat_stacks(amplitudes, ("even", "odd"))
+        alone = [cat_stacks(amplitudes, (parity,))[0] for parity in ("even", "odd")]
+    else:
+        components = np.stack([amplitudes, amplitudes * np.exp(
+            2j * np.pi * rng.uniform(size=shape))], axis=1)
+        weights = [rng.normal(size=(points, 2)) + 1j * rng.normal(size=(points, 2))
+                   for _ in range(2)]
+        first = _sibling(weights[0], components)
+        siblings = [first, _sibling(weights[1], components, first)]
+        alone = [CoherentStack.from_arrays(w, components) for w in weights]
+    exprs = [random_noexpr(rng) for _ in range(modes)]
+    other = list(exprs)
+    other[draw(st.integers(0, modes - 1))] = random_noexpr(rng)
+    requests = [tuple(exprs), tuple(other)]
+    if modes == 1:
+        levels = draw(st.sampled_from([1, 2, 3]))
+        bins = draw(st.integers(1, 8 if levels == 1 else 4))
+        eta, dark = draw(st.floats(0.05, 1.0)), draw(st.sampled_from([0.0, 0.02, 0.4]))
+        cfg = (DetectorConfig.onoff(bins, eta, dark) if levels == 1
+               else DetectorConfig.pnr(bins, levels, eta, dark))
+        rows = draw(st.lists(st.sampled_from(_exponent_rows(cfg)), min_size=1, max_size=8))
+        # pnr with K = 1 is the on-off model, so it may take the on-off product
+        change = draw(st.sampled_from(["dark", "efficiency", "rows"] + ["model"] * (levels == 1)))
+        if change == "model":
+            moved = DetectorConfig.pnr(bins, 1, eta, dark)
+        elif change == "rows":
+            moved, rows_moved = cfg, rows[::-1] + rows[:1]
+        else:
+            moved = dataclasses.replace(cfg, **{change: getattr(cfg, change) * 0.5})
+        if change != "rows":
+            rows_moved = rows
+        requests += [(cfg, rows), (moved, rows_moved)]
+    calls = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, len(requests) - 1)),
+                          min_size=2, max_size=8))
+    return siblings, alone, requests, calls
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sibling_cases())
+def test_sibling_stacks_give_the_bits_of_stacks_built_alone(case):
+    siblings, alone, requests, calls = case
+    assert siblings[0].x is siblings[1].x and siblings[0]._factors is siblings[1]._factors
+    for which, k in calls:
+        assert _evaluate(siblings[which], requests[k]) == _evaluate(alone[which], requests[k])
+
+
+def _kept_products(monkeypatch):
+    """The stacks of every hand-off call, recorded as the calls return."""
+    seen, handoff = [], CoherentStack.handoff
+
+    def recorded(stack, key, compute):
+        value = handoff(stack, key, compute)
+        seen.append(stack)
+        return value
+
+    monkeypatch.setattr(CoherentStack, "handoff", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_cat(1.2, "odd"),
+    lambda: CoherentStack([make_cat(0.4, "even"), make_cat(1.9, "odd")]),
+    lambda: StateInput("cat", parity="odd").stack((0.1, 2.0, 5.0))[0][1],
+    lambda: StateInput("coherent").stack((0.1, 2.0))[0][1],
+], ids=["make_cat", "stack", "one-parity-input", "coherent-input"])
+def test_a_stack_without_siblings_keeps_no_product(build, monkeypatch):
+    seen = _kept_products(monkeypatch)
+    state = build()
+    for cfg in (DetectorConfig.onoff(5, 0.5), DetectorConfig.pnr(4, 2, 0.5, 0.02)):
+        povm_product_value(state, cfg, _exponent_rows(cfg))
+    assert len(seen) == 2
+    assert all(stack._handoff is None for stack in seen)
+
+
+def test_the_sibling_takes_the_product_and_the_slot_empties(monkeypatch):
+    seen = _kept_products(monkeypatch)
+    (_, even), (_, odd) = StateInput("cat", parity="both").stack((0.1, 2.0, 5.0))
+    cfg = DetectorConfig.onoff(5, 0.5)
+    povm_product_value(even, cfg, [(1, 2), (0, 3)])
+    assert even._handoff is odd._handoff and len(odd._handoff) == 1
+    povm_product_value(odd, cfg, [(1, 2), (0, 3)])
+    assert seen == [even, odd] and odd._handoff == {}
 
 
 def test_row_powers_keep_the_bits_of_one_row_at_a_time():

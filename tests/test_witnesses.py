@@ -676,3 +676,35 @@ def test_wide_onoff_sweep_evaluates_tail_series_once_per_kernel_call(monkeypatch
     # (0, s) is known and that matrix needs no kernel call
     assert calls["kernel"] == 3
     assert 1 <= calls["tail"] <= calls["kernel"]
+
+
+@pytest.mark.parametrize("cfg", [DetectorConfig.onoff(31, 0.5),
+                                 DetectorConfig.pnr(8, 2, 0.5, 0.01)], ids=["onoff", "pnr"])
+def test_both_parity_sweep_evaluates_tail_series_once_per_sibling_pair(cfg, monkeypatch,
+                                                                        tmp_path):
+    # the even and odd cat stacks ask for the same rows in turn, and the
+    # second takes the first's amplitude-only product
+    from clickwitness import cli, detectors, witnesses
+    from clickwitness.scenarios import Scenario, StateInput, SweepSpec
+
+    calls = {"tail": 0, "kernel": []}
+    tail_series, kernel = detectors._tail_series, witnesses.povm_product_value
+
+    def counted_tail(*args):
+        calls["tail"] += 1
+        return tail_series(*args)
+
+    def counted_kernel(states, cfg, rows):
+        calls["kernel"].append((states, rows))
+        return kernel(states, cfg, rows)
+
+    monkeypatch.setattr(detectors, "_tail_series", counted_tail)
+    monkeypatch.setattr(witnesses, "povm_product_value", counted_kernel)
+    scenario = Scenario(name="pairs", state=StateInput("cat", parity="both"), detector=cfg,
+                        kinds=("counts", "moments"), sweep=SweepSpec(1e-2, 30.0, 12))
+    cli.run(scenario, tmp_path)
+    kernel_calls = calls["kernel"]
+    assert len(kernel_calls) >= 2 and len(kernel_calls) % 2 == 0
+    for (even, rows), (odd, same) in zip(kernel_calls[::2], kernel_calls[1::2]):
+        assert even is not odd and even.x is odd.x and rows == same
+    assert 1 <= calls["tail"] <= len(kernel_calls) // 2
