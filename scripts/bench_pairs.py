@@ -13,8 +13,11 @@ per side, for the benchmark's ``run_seconds``.  Pair i uses seed S + i for
 every workload.  The workload order rotates by one per pair, so that each
 workload leads about as often as any other; each workload's two sides run
 back to back, the parent first in even pairs and the change first in odd
-ones.  The output holds every run, each side's median and quartiles per
-metric, the pairs the change won, the parent's interquartile range, and
+ones.  One discarded warm-up run, the run that would end the rotation's
+pair before pair 0, goes first, so that pair 0 follows the same workload as
+every other pair that the same workload leads.  The output holds every run,
+each side's median and quartiles per metric, the pairs the change won, the
+parent's interquartile range, and
 whether a claimed gain holds: the change wins at least 9 in 10 pairs and
 the medians differ by more than the parent's IQR.  Optional traced runs
 (``--trace 1``, TRACE_SECONDS long) give per-layer medians per side, over
@@ -93,6 +96,16 @@ def schedule(pair: int, workloads: list) -> list:
     shift = pair % len(workloads)
     return [(workload, side) for workload in workloads[shift:] + workloads[:shift]
             for side in order(pair)]
+
+
+def warmup(workloads: list) -> tuple[str, str]:
+    """(workload, side) of the discarded run before pair 0.
+
+    It is the last run of the rotation's pair -1, so that pair 0 leads after
+    the same workload as the later pairs that the same workload leads:
+    without it, those pairs followed a run and pair 0 followed none.
+    """
+    return schedule(-1, workloads)[-1]
 
 
 def traced_schedule(workloads: list, seed_base: int) -> list:
@@ -265,6 +278,8 @@ def main(argv=None) -> int:
             print(f"{workload} pair {pair} {side}: correct={store[-1]['correct']} "
                   f"wall_s={store[-1]['metrics'].get('wall_s')}", file=sys.stderr)
 
+        workload, side = warmup(workloads)
+        bench_run(roots[side], workload, args.seed_base - 1, seconds, 0)
         for pair in range(PAIRS):
             seed = args.seed_base + pair
             for workload, side in schedule(pair, workloads):
@@ -288,8 +303,9 @@ def main(argv=None) -> int:
         "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g}"
                    " --trace 0",
         "protocol": f"{PAIRS} pairs per workload at seeds {args.seed_base}-"
-                    f"{args.seed_base + PAIRS - 1}; workload order rotated by one "
-                    "per pair, each workload's two sides back to back, parent "
+                    f"{args.seed_base + PAIRS - 1}, after one discarded warm-up run "
+                    "of the workload that ends the rotation; workload order rotated "
+                    "by one per pair, each workload's two sides back to back, parent "
                     f"first in even pairs; {TRACE_PAIRS} traced pairs per traced "
                     "workload, alternating, at the seeds that follow",
         **summarize([r for r in runs if r["metrics"]], better, claim),

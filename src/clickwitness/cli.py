@@ -34,24 +34,25 @@ from .detectors import (
     ONOFF,
     PHOTOELECTRIC,
     PNR,
+    check_truncation,
     click_distribution,
     photo_distribution,
     pnr_distribution,
 )
 from .multimode import MultiIndex, mean_total_photons, ratio_criterion
-from .sampler import empirical_witness, sample, write_histogram
+from .sampler import check_resamples, check_shots, empirical_witness, sample, write_histogram
 from .scenarios import (
     MATRIX_CRITERIA,
     OutputSpec,
     Scenario,
     StateInput,
     SweepSpec,
+    admit,
     presets,
     scenario_from_json,
 )
 from .witnesses import (
     IndexSet,
-    check_admissible,
     count_matrix,
     enumerate_index_sets,
     min_eig_sweep,
@@ -86,28 +87,6 @@ def _slug(text: str) -> str:
 # scenario execution
 
 
-def _resolve_sets(scenario: Scenario) -> list[IndexSet]:
-    cfg = scenario.detector
-    if isinstance(scenario.sets, str):
-        sets = enumerate_index_sets(cfg)
-        if scenario.sets == "all":
-            resolved = [s for s in sets if s.elements]
-        elif cfg.model == PNR:
-            raise ValueError(
-                "the multinomial model needs sets='all' or explicit sets"
-            )
-        else:
-            resolved = [s for s in sets if s.label == scenario.sets]
-    else:
-        resolved = [IndexSet(tuple(elements), label) for label, elements in scenario.sets]
-    # every set must be admissible, within the dimension cap included,
-    # before any evaluation starts
-    for iset in resolved:
-        for kind in scenario.kinds:
-            check_admissible(iset, cfg, kind)
-    return resolved
-
-
 def _per_point(values, grid) -> list:
     """One value per grid point; a value shared by the whole grid repeats."""
     return np.broadcast_to(values, (len(grid),)).tolist()
@@ -126,11 +105,8 @@ def _add_rows(blocks: Blocks, key: tuple[str, str], shared: tuple,
                     _per_point(verdicts, grid)))
 
 
-def _matrix_blocks(scenario: Scenario) -> Blocks:
+def _matrix_blocks(scenario: Scenario, isets: list[IndexSet]) -> Blocks:
     cfg = scenario.detector
-    isets = _resolve_sets(scenario)
-    if not isets:
-        raise ValueError(f"no index sets selected by {scenario.sets!r}")
     grid = scenario.sweep.grid()
     shared = (cfg.efficiency, cfg.bins, cfg.levels, scenario.state.modes)
     blocks: Blocks = {}
@@ -213,10 +189,11 @@ def _csv_lines(set_id: str, criterion: str, shared: tuple, rows: list[tuple],
 
 
 def run(scenario: Scenario, outdir=None) -> list[Path]:
-    """Execute a scenario; returns the written file paths."""
+    """Execute a scenario that :func:`~.scenarios.admit` admits; returns the written paths."""
+    isets = admit(scenario)
     outdir = Path(outdir or os.environ.get(ENV_OUTDIR) or scenario.output.path)
     if tuple(scenario.criteria) == MATRIX_CRITERIA:
-        blocks = _matrix_blocks(scenario)
+        blocks = _matrix_blocks(scenario, isets)
     else:
         blocks = _ratio_blocks(scenario)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -333,7 +310,7 @@ def _cmd_witness(args) -> int:
                         scale="linear"),
     )
     cfg = scenario.detector
-    isets = _resolve_sets(scenario)
+    isets = admit(scenario)
     records = []
     for state_label, state in scenario.state.build(args.alpha2):
         for kind in scenario.kinds:
@@ -383,22 +360,31 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    """Draw a histogram, and with --witness its empirical witnesses.
+
+    The guards of ``sample()`` and ``empirical_witness()`` run first, then
+    :func:`~.scenarios.admit` for the witness sets.  The cut at n_max
+    (:func:`~.detectors.check_truncation`) and the distribution's float range,
+    which its builder checks, follow before anything is evaluated.
+    """
     state_input = _state_input(args)
     if state_input.parity == "both":
         raise ValueError("sample draws one state; pass --parity even or odd")
-    # checks the state and, for --witness, the sets and resamples before anything is drawn
     scenario = Scenario(
         name="sample", state=state_input, detector=_detector(args),
         sets=_sets_arg(args), kinds=("counts",),
         sweep=SweepSpec(start=args.alpha2, stop=args.alpha2, points=1, scale="linear"),
     )
     cfg = scenario.detector
-    isets = _resolve_sets(scenario) if args.witness else []
-    if args.witness and args.resamples < 2:
-        raise ValueError("need at least 2 bootstrap resamples")
+    shots = check_shots(args.shots)
+    if args.witness:
+        check_resamples(args.resamples)
+    isets = admit(scenario) if args.witness else []
     (state_label, state), = state_input.build(args.alpha2)
+    if cfg.model == PHOTOELECTRIC:
+        check_truncation(state, cfg, args.n_max)
     dist = _distribution(state, cfg, args.n_max)
-    run_ = sample(dist, args.shots, args.seed)
+    run_ = sample(dist, shots, args.seed)
     outdir = Path(args.outdir or os.environ.get(ENV_OUTDIR) or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / args.out

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .numerics import MAX_EXACT_N, binom, falling_factorial, multinom
+from .numerics import binom, check_exact, falling_factorial, multinom
 from .states import (
     CoherentStack,
     CoherentSuperposition,
@@ -44,6 +45,11 @@ from .states import (
 _NEG_TOL = 1e-14
 _NORM_TOL = 1e-10
 _MAX_OUTCOMES = 100_000
+# ln of the largest float: an intermediate of an expectation whose
+# log-magnitude exceeds it is no longer a float.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# The largest n whose n! is a float: photocount orders stay at or below it.
+MAX_FACTORIAL = 170
 
 PHOTOELECTRIC = "photoelectric"
 ONOFF = "onoff"
@@ -74,8 +80,7 @@ class DetectorConfig:
         else:
             if self.bins is None or self.bins < 1:
                 raise ValueError(f"{self.model} model needs bins >= 1")
-            if self.bins > MAX_EXACT_N:
-                raise ValueError(f"bins capped at {MAX_EXACT_N}")
+            check_exact(self.bins, "bins")
             if self.model == ONOFF and self.levels is not None:
                 raise ValueError("onoff model takes no levels")
             if self.model == PNR and (self.levels is None or self.levels < 1):
@@ -400,20 +405,200 @@ def povm_product_value(state, cfg: DetectorConfig, exponents):
 
 
 # --------------------------------------------------------------------------
+# the float range of the expectation routes
+
+
+def check_order(n: int, subject: str) -> None:
+    """Reject a photocount order ``n`` outside 0 .. ``MAX_FACTORIAL``, where n! is a float."""
+    if not 0 <= n <= MAX_FACTORIAL:
+        raise ValueError(f"{subject} = {n} is outside 0..MAX_FACTORIAL = {MAX_FACTORIAL}, "
+                         "the orders whose factorial is a float")
+
+
+def _log_pi_last(y: np.ndarray, levels: int) -> np.ndarray:
+    """ln|pi_K(y)| = -y + ln|P_K(y) - exp(y)|, P_K(y) = sum_{j<K} y^j/j!, for |y| >= 1.
+
+    For y >= 1 it is ln(1 - exp(-y) P_K(y)), with exp(-y) P_K(y) < 1 taken
+    in logs; for y <= -1 the sum is taken as it stands, with -y clipped at
+    ``LOG_FLOAT_MAX``, beyond which exp(-y) overflows on its own.
+    """
+    j = np.arange(levels)[:, None]
+    log_factorials = np.array([math.lgamma(k + 1) for k in range(levels)])[:, None]
+    up, t = np.maximum(y, 1.0), np.minimum(-y, LOG_FLOAT_MAX)
+    rising = np.log1p(-np.exp(np.logaddexp.reduce(j * np.log(up) - log_factorials) - up))
+    head = np.sum((-t) ** j / np.exp(log_factorials), axis=0)
+    return np.where(y > 0.0, rising, t + np.log(np.abs(head - np.exp(-t))))
+
+
+def _log_magnitudes(cfg: DetectorConfig, quantities, x: np.ndarray) -> np.ndarray:
+    """(Q,) + x.shape log-magnitude of the largest intermediate of each quantity at pair rates x.
+
+    A POVM row e builds poly = prod_{0<j<K} (y^j/j!)^{e_j} pi_K(y)^{e_K} at
+    y = gamma x + nu before the folded exp(-sum e_j y) can shrink it, so its
+    log-magnitude is L = sum_{0<j<K} e_j (j ln|y| - ln j!) + e_K ln|pi_K(y)|;
+    on rows with e_K > 0 the exp(-y) inside pi_K counts too, as -y.  Where
+    |y| < 1 no factor exceeds 1 (pi_K comes from its tail series), and L is
+    -inf.  A NOExpr term coeff y^s exp(...) forms y^s first, at s ln|y|.
+    ``x`` is real; for a complex y, pi_K would be taken at its real part.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if cfg.model == PHOTOELECTRIC:
+            return np.array([
+                np.max([power * np.log(np.abs(q.rate * x + q.offset)) if power
+                        else np.zeros(x.shape) for _, power, _ in q.terms], axis=0)
+                for q in quantities
+            ])
+        levels = 1 if cfg.model == ONOFF else cfg.levels
+        y = (cfg.gamma_rate * x + cfg.dark).reshape(-1)
+        rows = np.array(quantities, dtype=float)[:, :, None]
+        j = np.arange(1, levels)[:, None]
+        powers = j * np.log(np.abs(y)) - np.array(
+            [math.lgamma(k + 1) for k in range(1, levels)])[:, None]
+        last = rows[:, levels] > 0.0
+        logs = (rows[:, 1:levels] * powers).sum(axis=1) + np.where(
+            last, rows[:, levels] * _log_pi_last(y, levels), 0.0)
+        logs = np.maximum(logs, np.where(last, -y, -np.inf))
+        logs = np.where(np.abs(y) >= 1.0, logs, -np.inf)
+        return logs.reshape((len(quantities),) + x.shape)
+
+
+def _beyond_float_range(logs):
+    """Where a log-magnitude exceeds ``LOG_FLOAT_MAX``, elementwise."""
+    return logs > LOG_FLOAT_MAX
+
+
+def fits_range(cfg: DetectorConfig, order: int, top: float) -> bool:
+    """True when no quantity of order at most ``order`` can leave the float range
+    at pair rates |x| <= ``top``; photoelectric orders must lie in 0 .. ``MAX_FACTORIAL``.
+
+    The bound takes no quantity, so that a run far from the limit skips the
+    per-quantity work of :func:`check_range`.  With |y| <= Y = gamma top + nu,
+    each of at most N POVM exponents adds at most (K-1) ln Y through a power
+    y^j/j!, or 2 Y + ln 2 through pi_K and its exp(-y), and nothing where
+    Y < 1; a photoelectric order s adds s ln Y.  False leaves the decision to
+    :func:`check_range`.
+    """
+    if cfg.model == PHOTOELECTRIC:
+        check_order(order, "photoelectric order")
+        bound = order * math.log(max(cfg.efficiency * top + cfg.dark, 1.0))
+    else:
+        top_y = cfg.gamma_rate * top + cfg.dark
+        levels = 1 if cfg.model == ONOFF else cfg.levels
+        bound = -math.inf if top_y < 1.0 else order * max(
+            (levels - 1) * math.log(top_y), 2.0 * top_y + math.log(2.0))
+    return not _beyond_float_range(bound)
+
+
+def check_range(state, cfg: DetectorConfig, quantities) -> None:
+    """Reject ``quantities`` of ``state`` that leave the float range, before any is evaluated.
+
+    ``quantities`` are what the expectation routes take: POVM exponent rows
+    for the multiplexed models, NOExpr terms for the photoelectric one.
+    Unless :func:`fits_range` admits them all at once, their intermediates
+    (:func:`_log_magnitudes`) are taken at every pair rate x = conj(a_i) a_j
+    of a coherent superposition or stack, padding pairs included, and at
+    x = n_max of a Fock input on the photoelectric route; the photon-number
+    route of the multiplexed models sums nonnegative terms and needs no
+    limit.  The first grid point where one exceeds ``LOG_FLOAT_MAX`` raises
+    a ValueError naming the detector, the point, the quantity and the limit.
+    """
+    if isinstance(state, Mixture):
+        for _, part in state.parts:
+            check_range(part, cfg, quantities)
+        return
+    if isinstance(state, FockVector):
+        if cfg.model != PHOTOELECTRIC:
+            return
+        x = np.array([[float(state.n_max)]])
+    elif isinstance(state, (CoherentStack, CoherentSuperposition)):
+        stack = state if isinstance(state, CoherentStack) else CoherentStack([state])
+        x = stack.x[..., 0].real.reshape(len(stack.x), -1)
+    else:
+        return  # the kernel names an unsupported state
+    order = cfg.bins or max(power for q in quantities for _, power, _ in q.terms)
+    if fits_range(cfg, order, float(np.abs(x).max())):
+        return
+    logs = _log_magnitudes(cfg, quantities, x).max(axis=-1)
+    over = np.flatnonzero(_beyond_float_range(logs).any(axis=0))
+    if over.size == 0:
+        return
+    g = over[0]
+    q = int(np.argmax(logs[:, g]))
+    quantity = quantities[q]
+    name = (f"order {max(power for _, power, _ in quantity.terms)}"
+            if isinstance(quantity, NOExpr) else f"POVM exponents {quantity}")
+    if isinstance(state, FockVector):
+        point = f"the Fock component n = {state.n_max}"
+    else:
+        point = f"|alpha|^2 = {float((np.abs(stack.amplitudes[g]) ** 2).sum(axis=-1).max()):.6g}"
+    model = cfg.model + "".join(f" {symbol}={value}" for symbol, value
+                                in (("N", cfg.bins), ("K", cfg.levels)) if value is not None)
+    raise ValueError(
+        f"{model} at eta={cfg.efficiency:g}, nu={cfg.dark:g}: the expectation of "
+        f"{name} overflows at {point}, where an intermediate "
+        f"reaches exp({logs[q, g]:.2f}), beyond the largest float, "
+        f"exp(LOG_FLOAT_MAX) = exp({LOG_FLOAT_MAX:.2f})")
+
+
+# --------------------------------------------------------------------------
 # photoelectric model
 
 
 def photo_distribution(state: StateSpec, cfg: DetectorConfig,
                        n_max: int = 60) -> CountDistribution:
-    """Photocount distribution p_n = <: G^n / n! exp(-G) :> for n = 0 .. n_max."""
+    """Photocount distribution p_n = <: G^n / n! exp(-G) :> for n = 0 .. n_max.
+
+    :func:`check_order` and :func:`check_range` run before any p_n is evaluated.
+    """
     if cfg.model != PHOTOELECTRIC:
         raise ValueError("photo_distribution needs a photoelectric config")
+    check_order(n_max, "n_max")
     rate, offset = cfg.gamma_rate, cfg.dark
-    probs = [
-        expect_any(state, NOExpr.monomial(1.0 / math.factorial(n), n, 1.0, rate, offset))
-        for n in range(n_max + 1)
-    ]
+    monomials = [NOExpr.monomial(1.0 / math.factorial(n), n, 1.0, rate, offset)
+                 for n in range(n_max + 1)]
+    check_range(state, cfg, monomials)
+    probs = [expect_any(state, monomial) for monomial in monomials]
     return CountDistribution("photo", tuple(range(n_max + 1)), tuple(probs), cfg)
+
+
+def _log_tail(r: np.ndarray, m: int) -> np.ndarray:
+    """A bound on ln sum_{n>m} r^n/n! for r >= 0: the first term over 1 - r/(m+2), or e^r."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        head = (m + 1) * np.log(r) - math.lgamma(m + 2) - np.log1p(-r / (m + 2))
+    return np.where(r < m + 2, np.minimum(head, r), r)
+
+
+def check_truncation(state: StateSpec, cfg: DetectorConfig, n_max: int) -> None:
+    """Reject an ``n_max`` outside 0 .. ``MAX_FACTORIAL``, or one that drops more than
+    1e-10 of the photocount distribution.
+
+    :func:`photo_distribution` warns on such a cut and ``sample`` refuses
+    to draw from it; this bounds the dropped probability before anything is
+    evaluated.  A pair (i, j) of a coherent superposition adds at most
+    |w_i w_j <a_i|a_j>| exp(-Re y) sum_{n > n_max} |y|^n/n!, with y = gamma
+    conj(a_i) a_j + nu; a Fock component |n> at most P(n + D > n_max), with
+    D ~ Pois(nu) the dark counts.
+    """
+    check_order(n_max, "n_max")
+    if isinstance(state, Mixture):
+        for _, part in state.parts:
+            check_truncation(part, cfg, n_max)
+        return
+    if isinstance(state, FockVector):
+        excess = n_max - np.arange(state.n_max + 1)
+        dark = np.array([0.0 if k < 0 else math.exp(_log_tail(np.array(cfg.dark), k) - cfg.dark)
+                         for k in excess.tolist()])
+        bound = float(np.sum(state.probabilities() * np.where(excess < 0, 1.0, dark)))
+    else:
+        stack = CoherentStack([state])
+        y = cfg.gamma_rate * stack.x[0, ..., 0] + cfg.dark
+        with np.errstate(divide="ignore", under="ignore"):
+            logs = (np.log(np.abs(stack.pair[0])) + stack.overlap[0, ..., 0].real - y.real
+                    + _log_tail(np.abs(y), n_max))
+            bound = float(np.exp(logs).sum())
+    if bound > _NORM_TOL:
+        raise ValueError(f"n_max = {n_max} may drop up to {bound:.3g} of the photocount "
+                         f"distribution, more than {_NORM_TOL}; it needs a larger n_max")
 
 
 def factorial_moment(state: StateSpec, cfg: DetectorConfig, m: int) -> float:
@@ -440,7 +625,9 @@ def click_distribution(state: StateSpec, cfg: DetectorConfig) -> CountDistributi
     if cfg.model != ONOFF:
         raise ValueError("click_distribution needs an onoff config")
     bins = cfg.bins
-    values = povm_product_value(state, cfg, [(bins - k, k) for k in range(bins + 1)])
+    rows = [(bins - k, k) for k in range(bins + 1)]
+    check_range(state, cfg, rows)
+    values = povm_product_value(state, cfg, rows)
     probs = [binom(bins, k) * value for k, value in enumerate(values)]
     return CountDistribution("click", tuple(range(bins + 1)), tuple(probs), cfg)
 
@@ -507,6 +694,7 @@ def pnr_distribution(state: StateSpec, cfg: DetectorConfig) -> CountDistribution
             f"outcome space of size {n_outcomes} exceeds the {_MAX_OUTCOMES} guard"
         )
     outcomes = pnr_outcomes(bins, levels)
+    check_range(state, cfg, outcomes)
     values = povm_product_value(state, cfg, outcomes)
     probs = [
         multinom(bins, outcome) * value for outcome, value in zip(outcomes, values)

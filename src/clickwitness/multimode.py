@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import HalfInt, SymMatrix
+from .numerics import HalfInt, SymMatrix, check_dimension
 from .states import CoherentStack, NOExpr, StateSpec, expect
 from .witnesses import (
     INDETERMINATE,
@@ -22,7 +22,6 @@ from .witnesses import (
     NO_VIOLATION,
     IndexSet,
     WitnessReport,
-    _check_dimension,
     _fill,
     _pair_quantities,
     _report,
@@ -123,10 +122,15 @@ def mean_total_photons(state: StateSpec, eta: float = 1.0) -> float:
     return total
 
 
+def check_mode_count(modes: int) -> None:
+    """Reject a mode count above ``MAX_MODES``."""
+    if modes > MAX_MODES:
+        raise ValueError(f"mode_counts are capped at MAX_MODES = {MAX_MODES}, got {modes}")
+
+
 def mode_class_patterns(modes: int):
     """All 2^mu integer/half class assignments, one per mode."""
-    if modes > MAX_MODES:
-        raise ValueError(f"mode count capped at {MAX_MODES}")
+    check_mode_count(modes)
     for bits in range(2 ** modes):
         yield tuple("half" if (bits >> j) & 1 else "integer" for j in range(modes))
 
@@ -147,7 +151,7 @@ def multimode_matrices(state: StateSpec, elements, eta: float = 1.0,
         raise ValueError("kind must be 'counts' or 'moments'")
     iset = IndexSet(tuple(tuple(e.parts if isinstance(e, MultiIndex) else e)
                           for e in elements), "multimode")
-    _check_dimension(iset)
+    check_dimension(len(iset.elements), f"index set {iset.label!r}")
     elements = tuple(MultiIndex(e) for e in iset.elements)
     if state.modes != elements[0].modes:
         raise ValueError(

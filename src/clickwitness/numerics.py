@@ -18,6 +18,21 @@ MAX_EXACT_N = 64
 MAX_DIM = 16
 
 
+def check_exact(n: int, subject: str) -> None:
+    """Reject an ``n`` above ``MAX_EXACT_N``, the cap of the exact combinatorics."""
+    if n > MAX_EXACT_N:
+        raise ValueError(f"{subject} is capped at MAX_EXACT_N = {MAX_EXACT_N}, got {n}")
+
+
+def check_dimension(dim: int, subject: str) -> None:
+    """Reject an empty witness matrix of ``subject``, and one above ``MAX_DIM``."""
+    if dim < 1:
+        raise ValueError(f"{subject} is empty")
+    if dim > MAX_DIM:
+        raise ValueError(f"{subject} has dimension {dim}; "
+                         f"witness matrices are capped at dimension {MAX_DIM}")
+
+
 @dataclass(frozen=True, order=True)
 class HalfInt:
     """Element of the half-integer lattice, stored as the doubled value.
@@ -100,8 +115,7 @@ def binom(n: int, k: int) -> int:
         raise TypeError("binom expects integers")
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"binom requires 0 <= k <= n, got n={n}, k={k}")
-    if n > MAX_EXACT_N:
-        raise ValueError(f"binom capped at n <= {MAX_EXACT_N}, got n={n}")
+    check_exact(n, "binom's n")
     return math.comb(n, k)
 
 
@@ -111,8 +125,7 @@ def multinom(n: int, parts) -> int:
     The parts must be nonnegative and sum to n.
     """
     parts = tuple(int(p) for p in parts)
-    if n > MAX_EXACT_N:
-        raise ValueError(f"multinom capped at n <= {MAX_EXACT_N}, got n={n}")
+    check_exact(n, "multinom's n")
     if any(p < 0 for p in parts):
         raise ValueError(f"multinom parts must be nonnegative, got {parts}")
     if sum(parts) != n:
@@ -184,9 +197,7 @@ class SymMatrix:
 
 
 def _check_small_finite(entries: np.ndarray, op: str) -> None:
-    dim = entries.shape[-1]
-    if dim > MAX_DIM:
-        raise ValueError(f"{op} supports dim <= {MAX_DIM}, got {dim}")
+    check_dimension(entries.shape[-1], f"the {op} input")
     if not np.all(np.isfinite(entries)):
         raise ValueError(f"{op} requires finite entries")
 

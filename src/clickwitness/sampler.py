@@ -114,6 +114,8 @@ _MAX_COMPARED = 5
 _HIGH_WORD = 1 if sys.byteorder == "little" else 0
 
 DEFAULT_RESAMPLES = 200
+# The bootstrap's standard error needs at least this many redraws.
+MIN_RESAMPLES = 2
 
 
 def _mix_rounds(z: np.ndarray, tmp: np.ndarray) -> None:
@@ -272,16 +274,25 @@ def _count_by_buckets(thresholds: np.ndarray, seed: int, shots: int) -> np.ndarr
     return counts
 
 
+def check_shots(shots: int) -> int:
+    """``shots`` as a Python int, once it is an integer in 1 .. ``_MAX_SHOTS``."""
+    shots = operator.index(shots)
+    if not 1 <= shots <= _MAX_SHOTS:
+        raise ValueError(f"shots must lie in 1.._MAX_SHOTS = {_MAX_SHOTS}, got {shots}")
+    return shots
+
+
+def check_resamples(resamples: int) -> None:
+    if resamples < MIN_RESAMPLES:
+        raise ValueError(f"need at least {MIN_RESAMPLES} bootstrap resamples")
+
+
 def sample(dist: CountDistribution, shots: int, seed: int) -> SampleRun:
     """Draw ``shots`` outcomes by inverse-CDF sampling with SplitMix64."""
     # Python ints (numpy integers too), so that the chunk offsets and
     # derive_seed wrap mod 2^64 exactly.
-    shots = operator.index(shots)
+    shots = check_shots(shots)
     seed = operator.index(seed)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if shots > _MAX_SHOTS:
-        raise ValueError(f"shots capped at {_MAX_SHOTS}")
     total = dist.total()
     if not abs(total - 1.0) <= 1e-10:
         raise ValueError(f"distribution sums to {total}; normalize before sampling")
@@ -370,8 +381,7 @@ def empirical_witness(run: SampleRun, cfg: DetectorConfig, iset: IndexSet,
     """
     if run.source.config != cfg:
         raise ValueError("run outcome space does not match the detector config")
-    if resamples < 2:
-        raise ValueError("need at least 2 bootstrap resamples")
+    check_resamples(resamples)
     check_admissible(iset, cfg, kind)
     empirical = run.empirical()
     rng = np.random.Generator(np.random.PCG64(derive_seed(run.seed)))

@@ -14,10 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detectors import DetectorConfig
-from .multimode import MAX_MODES
+from .detectors import PNR, DetectorConfig, check_range, fits_range
+from .multimode import check_mode_count
 from .numerics import HalfInt
 from .states import CoherentStack, FockVector, StateSpec, cat_stacks
+from .witnesses import (
+    IndexSet,
+    _pair_quantities,
+    check_admissible,
+    entry_quantity,
+    enumerate_index_sets,
+)
 
 MATRIX_CRITERIA = ("min_eig",)
 RATIO_CRITERIA = ("moment_ratio", "mean_photon_number")
@@ -150,9 +157,6 @@ class Scenario:
                 raise ValueError(f"{name} has duplicate entries: {list(values)}")
         if any(modes < 1 for modes in self.mode_counts):
             raise ValueError(f"mode_counts must be >= 1, got {list(self.mode_counts)}")
-        if any(modes > MAX_MODES for modes in self.mode_counts):
-            raise ValueError(f"mode_counts are capped at MAX_MODES = {MAX_MODES}, "
-                             f"got {max(self.mode_counts)}")
         if tuple(self.criteria) == MATRIX_CRITERIA:
             if self.detector is None:
                 raise ValueError("matrix scenarios need a detector config")
@@ -172,6 +176,66 @@ class Scenario:
                     raise ValueError(f"unknown ratio case {case!r}")
         else:
             raise ValueError(f"unsupported criteria {self.criteria!r}")
+
+
+# --------------------------------------------------------------------------
+# admission
+
+
+def _resolve_sets(scenario: Scenario) -> list[IndexSet]:
+    cfg = scenario.detector
+    if not isinstance(scenario.sets, str):
+        return [IndexSet(tuple(elements), label) for label, elements in scenario.sets]
+    sets = enumerate_index_sets(cfg)
+    if scenario.sets == "all":
+        return [s for s in sets if s.elements]
+    if cfg.model == PNR:
+        raise ValueError("the multinomial model needs sets='all' or explicit sets")
+    return [s for s in sets if s.label == scenario.sets]
+
+
+def admit(scenario: Scenario) -> list[IndexSet]:
+    """The index sets of ``scenario`` ([] for ratios), once every cap admits it.
+
+    Each cap is checked by the one function that holds it: the mode counts,
+    the set selection, each set for each kind (:func:`~.witnesses.check_admissible`),
+    and the float range of every entry, first by the bound of
+    :func:`~.detectors.fits_range` and, where that cannot decide, entry by
+    entry (:func:`~.detectors.check_range`).  The pair rates y = nu +- gamma
+    |alpha|^2 of coherent and cat inputs take their largest and most
+    negative values at the grid's largest |alpha|^2, where every entry's
+    log-magnitude is largest; only when that point fails is the whole grid
+    built, to name its first failing point.
+    """
+    if tuple(scenario.criteria) != MATRIX_CRITERIA:
+        for modes in scenario.mode_counts:
+            check_mode_count(modes)
+        return []
+    cfg = scenario.detector
+    isets = _resolve_sets(scenario)
+    if not isets:
+        raise ValueError(f"no index sets selected by {scenario.sets!r}")
+    for iset in isets:
+        for kind in scenario.kinds:
+            check_admissible(iset, cfg, kind)
+    grid, state = scenario.sweep.grid(), scenario.state
+    top = len(state.coefficients) - 1 if state.kind == "fock" else max(grid)
+    order = cfg.bins or max(e.twice for iset in isets for e in iset.elements)
+    if fits_range(cfg, order, top):
+        return isets
+    quantities = {}
+    for iset in isets:
+        for kind in scenario.kinds:
+            quantities.update(dict.fromkeys(_pair_quantities(
+                iset.elements, lambda a, b: entry_quantity(cfg, kind, a, b)).values()))
+    try:
+        for _, states in scenario.state.stack((max(grid),)):
+            check_range(states, cfg, list(quantities))
+    except ValueError:
+        for _, states in scenario.state.stack(grid):
+            check_range(states, cfg, list(quantities))
+        raise
+    return isets
 
 
 # --------------------------------------------------------------------------

@@ -32,9 +32,9 @@ from .detectors import (
     povm_product_value,
 )
 from .numerics import (
-    MAX_DIM,
     HalfInt,
     SymMatrix,
+    check_dimension,
     leading_minors,
     min_eigenvalue,
     min_eigenvalues,
@@ -46,6 +46,9 @@ from .states import NOExpr, StateSpec, expect_any
 NEG_REL_TOL = 1e-10
 
 _IDENTITY_TOL = 1e-12
+
+# The pnr enumerators list 2^K or 2^(K+1) sets; K stays at or below this.
+MAX_LEVELS = 6
 
 INTEGER = "integer"
 HALF = "half"
@@ -129,6 +132,12 @@ def _half_range(cap_twice: int, start_twice: int) -> list[HalfInt]:
     return [HalfInt(t) for t in range(start_twice, cap_twice + 1, 2)]
 
 
+def _check_levels(cfg: DetectorConfig) -> None:
+    if cfg.levels > MAX_LEVELS:
+        raise ValueError(f"index-set enumeration is capped at MAX_LEVELS = {MAX_LEVELS}, "
+                         f"got levels={cfg.levels}")
+
+
 def _doubled_indices(parities, budget_twice: int):
     """Doubled multi-indices t >= 0 with t_j = parities[j] mod 2 and sum(t) <= budget_twice."""
     if not parities:
@@ -158,8 +167,7 @@ def enumerate_index_sets(cfg: DetectorConfig,
         return [IndexSet(tuple(integers), INTEGER), IndexSet(tuple(halves), HALF)]
     if cfg.model != PNR:
         raise ValueError(f"unknown detector model {cfg.model!r}")
-    if cfg.levels > 6:
-        raise ValueError("index-set enumeration capped at levels <= 6")
+    _check_levels(cfg)
     bins, levels = cfg.bins, cfg.levels
     sets = []
     for pattern_bits in range(2 ** levels):
@@ -182,8 +190,7 @@ def enumerate_pnr_moment_sets(cfg: DetectorConfig) -> list[IndexSet]:
     """
     if cfg.model != PNR:
         raise ValueError("enumerate_pnr_moment_sets needs a pnr config")
-    if cfg.levels > 6:
-        raise ValueError("index-set enumeration capped at levels <= 6")
+    _check_levels(cfg)
     sets = []
     for pattern_bits in range(2 ** (cfg.levels + 1)):
         bits = [(pattern_bits >> j) & 1 for j in range(cfg.levels + 1)]
@@ -259,17 +266,6 @@ def _pair_sum_multi(a: tuple, b: tuple) -> tuple[int, ...]:
     return tuple(_whole(x.twice + y.twice) for x, y in zip(a, b))
 
 
-def _check_dimension(iset: IndexSet) -> None:
-    """Reject an empty set, and one above the spectral step's cap ``MAX_DIM``."""
-    if not iset.elements:
-        raise ValueError(f"index set {iset.label!r} is empty")
-    if len(iset.elements) > MAX_DIM:
-        raise ValueError(
-            f"index set {iset.label!r} has dimension {len(iset.elements)}; "
-            f"witness matrices are capped at dimension {MAX_DIM}"
-        )
-
-
 def check_admissible(iset: IndexSet, cfg: DetectorConfig, kind: str) -> None:
     """Reject an index set that a ``kind`` matrix of this detector cannot use.
 
@@ -279,7 +275,7 @@ def check_admissible(iset: IndexSet, cfg: DetectorConfig, kind: str) -> None:
     """
     if kind not in ("counts", "moments"):
         raise ValueError(f"kind must be 'counts' or 'moments', got {kind!r}")
-    _check_dimension(iset)
+    check_dimension(len(iset.elements), f"index set {iset.label!r}")
     if cfg.model == PNR:
         if not iset.multi or len(iset.elements[0]) != cfg.levels + 1:
             raise ValueError(

@@ -2,6 +2,7 @@
 runs on synthetic results."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -167,3 +168,45 @@ def test_worktree_copy_takes_tracked_and_unignored_files(pairs, tmp_path):
               for p in dest.rglob("*") if p.is_file()}
     assert copied == {".gitignore": files[".gitignore"], "tracked.txt": "edited",
                       "sub/deep.txt": "deep", "untracked.txt": "new"}
+
+
+def test_warmup_puts_every_leading_slot_after_the_same_workload(pairs):
+    # Paper-figures leads pairs 0, 3, 6 and 9; without the warm-up pair 0
+    # followed no run while the others followed a wide-sets run.
+    workloads = ["paper-figures", "wide-sets", "sampling"]
+    assert pairs.warmup(workloads) == ("wide-sets", "parent")
+    plan = [(-1, *pairs.warmup(workloads))] + [
+        (k, workload, side) for k in range(pairs.PAIRS)
+        for workload, side in pairs.schedule(k, workloads)]
+    for lead in workloads:
+        starts = [i for i, (k, workload, _) in enumerate(plan)
+                  if k >= 0 and workload == lead and plan[i - 1][0] != k]
+        assert len({plan[i - 1][1] for i in starts}) == 1
+    leads = [i for i, (k, workload, _) in enumerate(plan)
+             if workload == "paper-figures" and plan[i - 1][0] == k - 1]
+    assert [plan[i][0] for i in leads] == [0, 3, 6, 9]
+    assert all(plan[i - 1][1] == "wide-sets" for i in leads)
+    assert sorted(plan[i][2] for i in leads) == ["change", "change", "parent", "parent"]
+
+
+def test_main_runs_the_warmup_first_and_discards_it(pairs, monkeypatch, tmp_path):
+    calls = []
+    result = {"correct": True, "attempted": 1, "failed": 0,
+              "metrics": {name: {"value": 1.0} for name in
+                          ("wall_s", "cpu_s", "peak_rss_mb", "ok_frac", "setup_s")}}
+
+    def bench_run(root, workload, seed, seconds, trace):
+        calls.append((root.name, workload, seed))
+        return {"returncode": 0, "hook_warnings": 0, "result": dict(result), "meta": {}}
+
+    monkeypatch.setattr(pairs, "export", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(pairs, "copy_worktree", lambda root, dest: None)
+    monkeypatch.setattr(pairs, "bench_run", bench_run)
+    monkeypatch.setattr(pairs, "cli_run", lambda root, shots: {})
+    out = tmp_path / "bench.json"
+    assert pairs.main(["--parent", "HEAD", "--seed-base", "100", "--out", str(out)]) == 0
+    assert calls[0] == ("parent", "wide-sets", 99)
+    assert calls[1] == ("parent", "paper-figures", 100)
+    written = json.loads(out.read_text())
+    assert len(written["runs"]) == len(calls) - 1 == 3 * 2 * pairs.PAIRS
+    assert "warm-up" in written["protocol"]

@@ -438,12 +438,22 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith("error: dark parameter nan is out of range")
         assert not list(tmp_path.rglob("*"))
 
-    def test_overflow_at_large_amplitude_exits_2(self, tmp_path, capsys):
-        # exp(|alpha|^2 eta / N) overflows in the pair sums (ROADMAP item 4);
-        # the message holds the grid values of the first row that overflowed
-        for detector, start, stop in (
-            (["--model", "onoff", "--bins", "1"], "800", "900"),
-            (["--model", "pnr", "--bins", "2", "--levels", "3"], "1000", "1500"),
+    def test_overflow_at_large_amplitude_exits_2(self, tmp_path, capsys, monkeypatch):
+        # exp(|alpha|^2 eta / N) overflows in the pair sums (ROADMAP item 4); the
+        # admission step names the detector, the first grid point past the float
+        # range and the limit, before any entry is evaluated
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("an entry was evaluated")
+
+        monkeypatch.setattr("clickwitness.witnesses.povm_product_value", no_evaluation)
+        limit = "beyond the largest float, exp(LOG_FLOAT_MAX) = exp(709.78)\n"
+        for detector, start, stop, message in (
+            (["--model", "onoff", "--bins", "1"], "800", "900",
+             "onoff N=1 at eta=1, nu=0: the expectation of POVM exponents (0, 1) overflows "
+             "at |alpha|^2 = 800, where an intermediate reaches exp(800.00), "),
+            (["--model", "pnr", "--bins", "2", "--levels", "3"], "1000", "1500",
+             "pnr N=2 K=3 at eta=1, nu=0: the expectation of POVM exponents (0, 0, 0, 2) "
+             "overflows at |alpha|^2 = 1000, where an intermediate reaches exp(1023.46), "),
         ):
             outdir = tmp_path / detector[1]
             code = main([
@@ -452,9 +462,8 @@ class TestMainEntry:
                 "--points", "2", "--outdir", str(outdir),
             ])
             assert code == 2
-            assert capsys.readouterr().err == (
-                "error: expectation is not finite: [nan+nanj nan+nanj]\n")
-            assert not list(outdir.rglob("*.csv"))
+            assert capsys.readouterr().err == f"error: {message}{limit}"
+            assert not outdir.exists()
 
     @pytest.mark.parametrize("flags, label, dim", [
         (["--model", "onoff", "--bins", "32"], "integer", 17),

@@ -10,9 +10,14 @@ function's name, wherever it appears; an import alone is none.
 Every import in the package is relative, from the standard library, or of
 a distribution that ``pyproject.toml`` declares, so that test-only tools
 such as mpmath or hypothesis never become runtime dependencies.
+
+Every cap on what the package evaluates is one named constant, compared in
+exactly one place; every other site calls the function that holds that
+comparison.
 """
 
 import ast
+import importlib
 import importlib.util
 import re
 import sys
@@ -120,3 +125,57 @@ def test_imports_are_relative_stdlib_or_declared():
                         if name.partition(".")[0] not in allowed]
     assert "numpy" in allowed
     assert not foreign, f"undeclared imports in the package: {foreign}"
+
+
+# Each cap on what the package evaluates, and the module that defines it.
+CAPS = {
+    "MAX_DIM": "numerics",
+    "MAX_EXACT_N": "numerics",
+    "MAX_MODES": "multimode",
+    "MAX_LEVELS": "witnesses",
+    "MIN_RESAMPLES": "sampler",
+    "_MAX_SHOTS": "sampler",
+    "_MAX_OUTCOMES": "detectors",
+    "MAX_FACTORIAL": "detectors",
+    "LOG_FLOAT_MAX": "detectors",
+    "_FOCK_CAP": "states",
+}
+
+
+def comparisons() -> list:
+    """(module, line, names, bare numbers) in the operands of every comparison in the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = (node.left, *node.comparators)
+                names = {sub.id if isinstance(sub, ast.Name) else sub.attr
+                         for operand in operands for sub in ast.walk(operand)
+                         if isinstance(sub, (ast.Name, ast.Attribute))}
+                numbers = {operand.value for operand in operands
+                           if isinstance(operand, ast.Constant)
+                           and not isinstance(operand.value, (bool, str))}
+                found.append((path.stem, node.lineno, names, numbers))
+    return found
+
+
+@pytest.mark.parametrize("cap", sorted(CAPS))
+def test_each_cap_is_compared_once_in_its_module(cap):
+    sites = [(module, line) for module, line, names, _ in comparisons() if cap in names]
+    assert len(sites) == 1, f"{cap} is compared at {sites}"
+    assert sites[0][0] == CAPS[cap]
+    defined = [node for node in ast.parse((PACKAGE / f"{CAPS[cap]}.py").read_text()).body
+               if isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == cap for t in node.targets)]
+    assert len(defined) == 1
+
+
+def test_no_comparison_holds_a_cap_as_a_bare_number():
+    # as the pnr enumerators once held levels > 6; a 2 (MIN_RESAMPLES) is
+    # too common a number to tell
+    values = {getattr(importlib.import_module(f"clickwitness.{module}"), cap): cap
+              for cap, module in CAPS.items() if cap != "MIN_RESAMPLES"}
+    bare = [f"{module}:{line} holds {values[number]}"
+            for module, line, _, numbers in comparisons() for number in numbers
+            if number in values]
+    assert not bare, bare

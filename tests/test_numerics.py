@@ -185,7 +185,7 @@ class TestLeadingMinors:
             assert leading_minors(m) == per_block
 
     def test_guards(self):
-        with pytest.raises(ValueError, match="dim <= 16"):
+        with pytest.raises(ValueError, match="dimension 17; .* capped at dimension 16"):
             leading_minors(SymMatrix(np.eye(17)))
         with pytest.raises(ValueError, match="finite"):
             leading_minors(SymMatrix([[np.inf, 0.0], [0.0, 1.0]]))
