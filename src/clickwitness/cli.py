@@ -360,13 +360,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    """Draw a histogram, and with --witness its empirical witnesses.
-
-    The guards of ``sample()`` and ``empirical_witness()`` run first, then
-    :func:`~.scenarios.admit` for the witness sets.  The cut at n_max
-    (:func:`~.detectors.check_truncation`) and the distribution's float range,
-    which its builder checks, follow before anything is evaluated.
-    """
+    """Draw a histogram, and with --witness its empirical witnesses; every
+    guard, the distribution builder's included, runs before anything is evaluated."""
     state_input = _state_input(args)
     if state_input.parity == "both":
         raise ValueError("sample draws one state; pass --parity even or odd")

@@ -462,20 +462,14 @@ def _log_magnitudes(cfg: DetectorConfig, quantities, x: np.ndarray) -> np.ndarra
         return logs.reshape((len(quantities),) + x.shape)
 
 
-def _beyond_float_range(logs):
-    """Where a log-magnitude exceeds ``LOG_FLOAT_MAX``, elementwise."""
-    return logs > LOG_FLOAT_MAX
-
-
 def fits_range(cfg: DetectorConfig, order: int, top: float) -> bool:
     """True when no quantity of order at most ``order`` can leave the float range
     at pair rates |x| <= ``top``; photoelectric orders must lie in 0 .. ``MAX_FACTORIAL``.
 
-    The bound takes no quantity, so that a run far from the limit skips the
-    per-quantity work of :func:`check_range`.  With |y| <= Y = gamma top + nu,
-    each of at most N POVM exponents adds at most (K-1) ln Y through a power
-    y^j/j!, or 2 Y + ln 2 through pi_K and its exp(-y), and nothing where
-    Y < 1; a photoelectric order s adds s ln Y.  False leaves the decision to
+    A bound that takes no quantity: with |y| <= Y = gamma top + nu, each of
+    at most N POVM exponents adds at most (K-1) ln Y through a power y^j/j!,
+    or 2 Y + ln 2 through pi_K and its exp(-y), and nothing where Y < 1; a
+    photoelectric order s adds s ln Y.  False leaves the decision to
     :func:`check_range`.
     """
     if cfg.model == PHOTOELECTRIC:
@@ -486,7 +480,7 @@ def fits_range(cfg: DetectorConfig, order: int, top: float) -> bool:
         levels = 1 if cfg.model == ONOFF else cfg.levels
         bound = -math.inf if top_y < 1.0 else order * max(
             (levels - 1) * math.log(top_y), 2.0 * top_y + math.log(2.0))
-    return not _beyond_float_range(bound)
+    return bound <= LOG_FLOAT_MAX
 
 
 def check_range(state, cfg: DetectorConfig, quantities) -> None:
@@ -494,12 +488,11 @@ def check_range(state, cfg: DetectorConfig, quantities) -> None:
 
     ``quantities`` are what the expectation routes take: POVM exponent rows
     for the multiplexed models, NOExpr terms for the photoelectric one.
-    Unless :func:`fits_range` admits them all at once, their intermediates
-    (:func:`_log_magnitudes`) are taken at every pair rate x = conj(a_i) a_j
-    of a coherent superposition or stack, padding pairs included, and at
-    x = n_max of a Fock input on the photoelectric route; the photon-number
-    route of the multiplexed models sums nonnegative terms and needs no
-    limit.  The first grid point where one exceeds ``LOG_FLOAT_MAX`` raises
+    Their intermediates (:func:`_log_magnitudes`) are taken at every pair
+    rate x = conj(a_i) a_j of a coherent superposition or stack, padding
+    pairs included, and at x = n_max of a Fock input on the photoelectric
+    route; the photon-number route of the multiplexed models sums
+    nonnegative terms and needs no limit.  The first grid point where one exceeds ``LOG_FLOAT_MAX`` raises
     a ValueError naming the detector, the point, the quantity and the limit.
     """
     if isinstance(state, Mixture):
@@ -515,11 +508,8 @@ def check_range(state, cfg: DetectorConfig, quantities) -> None:
         x = stack.x[..., 0].real.reshape(len(stack.x), -1)
     else:
         return  # the kernel names an unsupported state
-    order = cfg.bins or max(power for q in quantities for _, power, _ in q.terms)
-    if fits_range(cfg, order, float(np.abs(x).max())):
-        return
     logs = _log_magnitudes(cfg, quantities, x).max(axis=-1)
-    over = np.flatnonzero(_beyond_float_range(logs).any(axis=0))
+    over = np.flatnonzero((logs > LOG_FLOAT_MAX).any(axis=0))
     if over.size == 0:
         return
     g = over[0]
@@ -576,8 +566,8 @@ def check_truncation(state: StateSpec, cfg: DetectorConfig, n_max: int) -> None:
     to draw from it; this bounds the dropped probability before anything is
     evaluated.  A pair (i, j) of a coherent superposition adds at most
     |w_i w_j <a_i|a_j>| exp(-Re y) sum_{n > n_max} |y|^n/n!, with y = gamma
-    conj(a_i) a_j + nu; a Fock component |n> at most P(n + D > n_max), with
-    D ~ Pois(nu) the dark counts.
+    conj(a_i) a_j + nu; a Fock component |n> at most P(B + D > n_max), with
+    B ~ Bin(n, eta) the counted photons and D ~ Pois(nu) the dark counts.
     """
     check_order(n_max, "n_max")
     if isinstance(state, Mixture):
@@ -585,10 +575,18 @@ def check_truncation(state: StateSpec, cfg: DetectorConfig, n_max: int) -> None:
             check_truncation(part, cfg, n_max)
         return
     if isinstance(state, FockVector):
-        excess = n_max - np.arange(state.n_max + 1)
-        dark = np.array([0.0 if k < 0 else math.exp(_log_tail(np.array(cfg.dark), k) - cfg.dark)
-                         for k in excess.tolist()])
-        bound = float(np.sum(state.probabilities() * np.where(excess < 0, 1.0, dark)))
+        # P(D > n_max - k) for B = k counted photons, and Bin(n, eta) in lgamma form
+        k = np.arange(state.n_max + 1)
+        dark = np.array([1.0 if j < 0 else math.exp(_log_tail(np.array(cfg.dark), j) - cfg.dark)
+                         for j in (n_max - k).tolist()])
+        log_factorials = np.array([math.lgamma(j + 1) for j in k])
+        n, lost = k[:, None], k[:, None] - k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = (log_factorials[n] - log_factorials[k] - log_factorials[np.abs(lost)]
+                    + np.where(k > 0, k * np.log(cfg.efficiency), 0.0)
+                    + np.where(lost > 0, lost * np.log1p(-cfg.efficiency), 0.0))
+        binomial = np.where(lost >= 0, np.exp(logs), 0.0)
+        bound = float(state.probabilities() @ (binomial @ dark))
     else:
         stack = CoherentStack([state])
         y = cfg.gamma_rate * stack.x[0, ..., 0] + cfg.dark

@@ -18,13 +18,7 @@ from .detectors import PNR, DetectorConfig, check_range, fits_range
 from .multimode import check_mode_count
 from .numerics import HalfInt
 from .states import CoherentStack, FockVector, StateSpec, cat_stacks
-from .witnesses import (
-    IndexSet,
-    _pair_quantities,
-    check_admissible,
-    entry_quantity,
-    enumerate_index_sets,
-)
+from .witnesses import IndexSet, check_admissible, entry_quantity, enumerate_index_sets
 
 MATRIX_CRITERIA = ("min_eig",)
 RATIO_CRITERIA = ("moment_ratio", "mean_photon_number")
@@ -197,15 +191,10 @@ def _resolve_sets(scenario: Scenario) -> list[IndexSet]:
 def admit(scenario: Scenario) -> list[IndexSet]:
     """The index sets of ``scenario`` ([] for ratios), once every cap admits it.
 
-    Each cap is checked by the one function that holds it: the mode counts,
-    the set selection, each set for each kind (:func:`~.witnesses.check_admissible`),
-    and the float range of every entry, first by the bound of
-    :func:`~.detectors.fits_range` and, where that cannot decide, entry by
-    entry (:func:`~.detectors.check_range`).  The pair rates y = nu +- gamma
-    |alpha|^2 of coherent and cat inputs take their largest and most
-    negative values at the grid's largest |alpha|^2, where every entry's
-    log-magnitude is largest; only when that point fails is the whole grid
-    built, to name its first failing point.
+    Each cap is checked by the function that holds it.  The float range of
+    the entries is bounded by :func:`~.detectors.fits_range` at the grid's
+    largest |alpha|^2; where that cannot decide, :func:`~.detectors.check_range`
+    checks every entry at every grid point.
     """
     if tuple(scenario.criteria) != MATRIX_CRITERIA:
         for modes in scenario.mode_counts:
@@ -221,20 +210,12 @@ def admit(scenario: Scenario) -> list[IndexSet]:
     grid, state = scenario.sweep.grid(), scenario.state
     top = len(state.coefficients) - 1 if state.kind == "fock" else max(grid)
     order = cfg.bins or max(e.twice for iset in isets for e in iset.elements)
-    if fits_range(cfg, order, top):
-        return isets
-    quantities = {}
-    for iset in isets:
-        for kind in scenario.kinds:
-            quantities.update(dict.fromkeys(_pair_quantities(
-                iset.elements, lambda a, b: entry_quantity(cfg, kind, a, b)).values()))
-    try:
-        for _, states in scenario.state.stack((max(grid),)):
-            check_range(states, cfg, list(quantities))
-    except ValueError:
-        for _, states in scenario.state.stack(grid):
-            check_range(states, cfg, list(quantities))
-        raise
+    if not fits_range(cfg, order, top):
+        quantities = list(dict.fromkeys(
+            entry_quantity(cfg, kind, a, b) for iset in isets for kind in scenario.kinds
+            for i, a in enumerate(iset.elements) for b in iset.elements[i:]))
+        for _, states in state.stack(grid):
+            check_range(states, cfg, quantities)
     return isets
 
 

@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 
 from clickwitness import detectors, witnesses
 from clickwitness.cli import main
+from clickwitness.detectors import DetectorConfig, check_truncation
+from clickwitness.states import FockVector
 
 # Where the expectation routes are looked up: the sweeps' and witnesses'
 # entries, and the distributions that ``sample`` draws from.
@@ -119,7 +121,7 @@ def commands(draw):
     elif model == "pnr":
         bins, levels = draw(st.integers(1, 8)), draw(st.integers(1, 7))
         argv += ["--bins", str(bins), "--levels", str(levels)]
-    argv += ["--efficiency", repr(draw(st.floats(0.05, 1.0))),
+    argv += ["--efficiency", repr(draw(st.floats(0.001, 1.0))),
              "--dark", repr(draw(st.floats(0.0, 5.0)))]
     state = draw(st.sampled_from(["coherent", "cat", "fock"]))
     argv += ["--state", state]
@@ -212,6 +214,25 @@ def test_rejected_before_any_kernel_call(argv, message):
      "--points", "1"],
     ["sample", *CAT, "--model", "onoff", "--bins", "1", "--alpha2", "723", "--shots", "100"],
     ["sample", "--model", "photoelectric", "--n-max", "170", "--shots", "100"],
+    # |6> at eta = 0.01 drops 0.01^6 = 1e-12 at n_max = 5: the cut counts
+    # Bin(6, eta) photons, not all six
+    ["sample", "--model", "photoelectric", "--state", "fock", "--coeffs", "0,0,0,0,0,0,1",
+     "--efficiency", "0.01", "--n-max", "5", "--shots", "10"],
 ])
 def test_admitted_near_the_limits(argv):
     check_admission(argv)
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.03, 0.3, 1.0])
+@pytest.mark.parametrize("n_max", [0, 2, 5, 6])
+def test_a_fock_cut_counts_only_the_detected_photons(eta, n_max):
+    # 0.36 |0><0| + 0.64 |6><6| without dark counts drops 0.64 P(Bin(6, eta) > n_max)
+    dropped = 0.64 * sum(math.comb(6, k) * eta ** k * (1 - eta) ** (6 - k)
+                         for k in range(n_max + 1, 7))
+    state = FockVector((0.6, 0, 0, 0, 0, 0, 0.8))
+    cfg = DetectorConfig.photoelectric(efficiency=eta)
+    if dropped > 1e-10:
+        with pytest.raises(ValueError, match=f"n_max = {n_max} may drop up to {dropped:.3g} "):
+            check_truncation(state, cfg, n_max)
+    else:
+        check_truncation(state, cfg, n_max)
