@@ -492,8 +492,9 @@ def check_range(state, cfg: DetectorConfig, quantities) -> None:
     rate x = conj(a_i) a_j of a coherent superposition or stack, padding
     pairs included, and at x = n_max of a Fock input on the photoelectric
     route; the photon-number route of the multiplexed models sums
-    nonnegative terms and needs no limit.  The first grid point where one exceeds ``LOG_FLOAT_MAX`` raises
-    a ValueError naming the detector, the point, the quantity and the limit.
+    nonnegative terms and needs no limit.  The first grid point where one
+    exceeds ``LOG_FLOAT_MAX`` raises a ValueError naming the detector, the
+    point, the quantity and the limit.
     """
     if isinstance(state, Mixture):
         for _, part in state.parts:
