@@ -87,11 +87,6 @@ def _slug(text: str) -> str:
 # scenario execution
 
 
-def _per_point(values, grid) -> list:
-    """One value per grid point; a value shared by the whole grid repeats."""
-    return np.broadcast_to(values, (len(grid),)).tolist()
-
-
 # The rows of each output file, keyed by (set_id, criterion): the cells
 # every row shares (eta, bins, levels, modes) and a list of
 # (grid_value, state, value, verdict) rows.
@@ -99,10 +94,14 @@ Blocks = dict[tuple[str, str], tuple[tuple, list[tuple]]]
 
 
 def _add_rows(blocks: Blocks, key: tuple[str, str], shared: tuple,
-              state_label: str, grid, values, verdicts) -> None:
+              labels: tuple[str, ...], grid, values, verdicts) -> None:
+    """Add the rows of ``values`` and ``verdicts``, (L, G) arrays or one
+    value for every label and grid point, label by label."""
     _, rows = blocks.setdefault(key, (shared, []))
-    rows.extend(zip(grid, repeat(state_label), _per_point(values, grid),
-                    _per_point(verdicts, grid)))
+    shape = (len(labels), len(grid))
+    values, verdicts = (np.broadcast_to(a, shape).tolist() for a in (values, verdicts))
+    for label, label_values, label_verdicts in zip(labels, values, verdicts):
+        rows.extend(zip(grid, repeat(label), label_values, label_verdicts))
 
 
 def _matrix_blocks(scenario: Scenario, isets: list[IndexSet]) -> Blocks:
@@ -110,15 +109,13 @@ def _matrix_blocks(scenario: Scenario, isets: list[IndexSet]) -> Blocks:
     grid = scenario.sweep.grid()
     shared = (cfg.efficiency, cfg.bins, cfg.levels, scenario.state.modes)
     blocks: Blocks = {}
-    # State labels innermost: sibling stacks ask for the same quantities in
-    # turn, so the second takes the first's hand-off (CoherentStack.handoff).
-    labelled = [(label, states, {}) for label, states in scenario.state.stack(grid)]
+    labels, states = scenario.state.stack(grid)
+    values = {}
     for kind in scenario.kinds:
         for iset in isets:
-            for state_label, states, values in labelled:
-                min_eig, verdicts = min_eig_sweep(states, cfg, kind, iset, values)
-                _add_rows(blocks, (iset.label, f"{kind}_min_eig"), shared,
-                          state_label, grid, min_eig, verdicts)
+            min_eig, verdicts = min_eig_sweep(states, cfg, kind, iset, values)
+            _add_rows(blocks, (iset.label, f"{kind}_min_eig"), shared, labels, grid,
+                      min_eig, verdicts)
     return blocks
 
 
@@ -140,16 +137,16 @@ def _ratio_blocks(scenario: Scenario) -> Blocks:
     blocks: Blocks = {}
     for mu in scenario.mode_counts:
         shared = (1.0, "", "", mu)
-        for state_label, states in scenario.state.stack(grid, modes=mu):
-            mean_n = mean_total_photons(states)
-            for case in scenario.cases:
-                n_idx, m_idx = _case_indices(case, mu)
-                set_id = f"case_{case}_mu{mu}"
-                result = ratio_criterion(states, n_idx, m_idx)
-                _add_rows(blocks, (set_id, "moment_ratio"), shared, state_label,
-                          grid, result.ratio, result.verdict)
-                _add_rows(blocks, (set_id, "mean_photon_number"), shared,
-                          state_label, grid, mean_n, "")
+        labels, states = scenario.state.stack(grid, modes=mu)
+        mean_n = mean_total_photons(states)
+        for case in scenario.cases:
+            n_idx, m_idx = _case_indices(case, mu)
+            set_id = f"case_{case}_mu{mu}"
+            result = ratio_criterion(states, n_idx, m_idx)
+            _add_rows(blocks, (set_id, "moment_ratio"), shared, labels, grid,
+                      result.ratio, result.verdict)
+            _add_rows(blocks, (set_id, "mean_photon_number"), shared, labels, grid,
+                      mean_n, "")
     return blocks
 
 
@@ -378,6 +375,9 @@ def _cmd_sample(args) -> int:
     (state_label, state), = state_input.build(args.alpha2)
     if cfg.model == PHOTOELECTRIC:
         check_truncation(state, cfg, args.n_max)
+    if not args.witness and (args.explicit_sets or args.sets != "all"):
+        raise ValueError("--set and --sets choose the sets of the empirical witnesses; "
+                         "they need --witness")
     dist = _distribution(state, cfg, args.n_max)
     run_ = sample(dist, shots, args.seed)
     outdir = Path(args.outdir or os.environ.get(ENV_OUTDIR) or ".")

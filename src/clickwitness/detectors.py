@@ -9,9 +9,10 @@ Dark counts nu enter per bin through the affine response.  Photoelectric
 quantities are expectations of :class:`~.states.NOExpr` monomials; the
 multiplexed ones are POVM products.  :func:`povm_product_value` takes
 coherent superpositions through the product form, elementwise over a whole
-:class:`~.states.CoherentStack` of grid points and with the factors the
-products share (y, the tail series of pi_K, y^j/j!) computed once per
-call, and Fock-basis inputs through a photon-number sum of nonnegative terms.
+:class:`~.states.CoherentStack` of grid points and state labels, with the
+factors the products share (y, the tail series of pi_K, y^j/j!) and the
+amplitude-only product computed once per call for all labels, and
+Fock-basis inputs through a photon-number sum of nonnegative terms.
 
 Measured statistics take the other route: every from-counts quantity, the
 ``*_moment_from_counts`` scalars and the entries of the from-counts witness
@@ -333,10 +334,9 @@ def _povm_values(state, cfg: DetectorConfig, levels: int, rows: list) -> list:
     1 - exp(-y) poly(y), every exp(-y) folded into the overlap exponent so
     that large opposing exponents cancel analytically.  Where |y| < 1, pi_K
     comes from the tail series, and its exp(-y) is folded too.  Everything
-    but the pair weights depends on the amplitudes only: that product goes
-    through :meth:`~.states.CoherentStack.handoff`, so of two sibling
-    stacks asking in turn for the same (gamma, nu, K, rows) only the first
-    computes it.
+    but the pair weights depends on the amplitudes only, so that product is
+    computed once and multiplied by the (..., G, C, C) pair weights of
+    every state label at once; a row's values have the shape (..., G).
     """
     if isinstance(state, Mixture):
         parts = [(p, _povm_values(part, cfg, levels, rows)) for p, part in state.parts]
@@ -352,8 +352,8 @@ def _povm_values(state, cfg: DetectorConfig, levels: int, rows: list) -> list:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     if state.modes != 1:
         raise ValueError("detector models address a single mode")
-
-    def amplitude_product():
+    # an overflow is reported by pair_sum, with the row and grid points it hit
+    with np.errstate(over="ignore", invalid="ignore"):
         y = cfg.gamma_rate * state.x[..., 0] + cfg.dark
         exponents = np.array(rows)[:, :, None, None, None]
         poly = np.ones((len(rows),) + y.shape, dtype=y.dtype)
@@ -364,13 +364,9 @@ def _povm_values(state, cfg: DetectorConfig, levels: int, rows: list) -> list:
         if last_factor is not None:
             _times_power(poly, last_factor, exponents[:, levels])
             folded = folded + np.where(small, exponents[:, levels], 0)
-        return np.exp(state.overlap[..., 0] - folded * y) * poly
-
-    key = (cfg.gamma_rate, cfg.dark, tuple(rows))  # a row's length fixes K
-    # an overflow is reported by pair_sum, with the row and grid points it hit
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = state.pair * state.handoff(key, amplitude_product)
-    return list(pair_sum(terms))
+        product = np.exp(state.overlap[..., 0] - folded * y) * poly
+        terms = state.pair[..., None, :, :, :] * product
+    return list(np.moveaxis(pair_sum(terms), -2, 0))
 
 
 def povm_product_value(state, cfg: DetectorConfig, exponents):
@@ -379,9 +375,9 @@ def povm_product_value(state, cfg: DetectorConfig, exponents):
     The on-off model is the K = 1 case with exponents (no-click, click);
     the exponents address at most N bins.  Fock-basis states go through the
     photon-number sum of :func:`_number_values`, whose terms are all
-    nonnegative.  A
-    :class:`~.states.CoherentStack` gives an array with one value per grid
-    point; a single superposition is the one-point stack.
+    nonnegative.  A :class:`~.states.CoherentStack` gives an array with one
+    value per grid point, (G,) or (L, G) for a stack of L state labels; a
+    single superposition is the one-point stack.
 
     ``exponents`` is one tuple, or a sequence of tuples that gives a list
     with one value per tuple, in order.  The factors that all tuples share

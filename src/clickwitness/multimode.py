@@ -218,7 +218,7 @@ def ratio_criterion(state: StateSpec, n: MultiIndex, m: MultiIndex,
     give 1, tanh^(+/-2), coth^(+/-2), and 1 respectively.  A vanishing
     denominator gives a NaN ratio and no verdict.  For a
     :class:`~.states.CoherentStack` the ratio and verdict are arrays with
-    one entry per grid point.
+    one entry per grid point, (G,) or (L, G) for L state labels.
     """
     pair, case = _pair_case(n, m)
     numer = joint_moment(state, pair, eta) ** 2

@@ -17,7 +17,7 @@ import numpy as np
 from .detectors import PNR, DetectorConfig, check_range, fits_range
 from .multimode import check_mode_count
 from .numerics import HalfInt
-from .states import CoherentStack, FockVector, StateSpec, cat_stacks
+from .states import CoherentStack, FockVector, StateSpec, cat_stack
 from .witnesses import IndexSet, check_admissible, entry_quantity, enumerate_index_sets
 
 MATRIX_CRITERIA = ("min_eig",)
@@ -54,36 +54,37 @@ class StateInput:
 
         These are the one-point :meth:`stack`, one state per label.
         """
-        return [
-            (label, state if self.kind == "fock" else state.superposition(0))
-            for label, state in self.stack((alpha2,), modes)
-        ]
+        labels, states = self.stack((alpha2,), modes)
+        if self.kind == "fock":
+            return [(labels[0], states)]
+        return [(label, states.superposition((k, 0))) for k, label in enumerate(labels)]
 
-    def stack(self, grid, modes: int | None = None) -> list[tuple[str, object]]:
-        """The states of every grid point, one entry per state label.
+    def stack(self, grid, modes: int | None = None) -> tuple[tuple[str, ...], object]:
+        """The state labels and the states of every grid point, as (labels, states).
 
-        Coherent and cat inputs give a :class:`~.states.CoherentStack` per
-        label, with the amplitude sqrt(|alpha|^2 / modes) in every mode;
-        cats come from :func:`~.states.cat_stacks`, the builder behind
-        :func:`~.states.make_cat`.  Each stack is checked for normalization
+        Coherent and cat inputs give one :class:`~.states.CoherentStack`
+        whose (L, G, C) weights hold one label each, with the amplitude
+        sqrt(|alpha|^2 / modes) in every mode; cats of both parities come
+        from one :func:`~.states.cat_stack`, the builder behind
+        :func:`~.states.make_cat`.  The stack is checked for normalization
         once.  A Fock input is the same state at every point, so it is
         returned once, unstacked.
         """
         modes = modes or self.modes
         if self.kind == "fock":
-            return [("fock", FockVector(self.coefficients))]
+            return ("fock",), FockVector(self.coefficients)
         amps = np.array([math.sqrt(alpha2 / modes) for alpha2 in grid], dtype=complex)
         amplitudes = np.repeat(amps[:, None], modes, axis=1)
         if self.kind == "coherent":
-            stacks = [("coherent", CoherentStack.from_arrays(
-                np.ones((len(grid), 1), dtype=complex), amplitudes[:, None]))]
+            labels = ("coherent",)
+            stack = CoherentStack.from_arrays(np.ones((1, len(grid), 1), dtype=complex),
+                                              amplitudes[:, None])
         else:
             parities = ("even", "odd") if self.parity == "both" else (self.parity,)
-            stacks = [(f"cat_{parity}", stack) for parity, stack
-                      in zip(parities, cat_stacks(amplitudes, parities))]
-        for _, stack in stacks:
-            stack.check_normalized(grid)
-        return stacks
+            labels = tuple(f"cat_{parity}" for parity in parities)
+            stack = cat_stack(amplitudes, parities)
+        stack.check_normalized(grid)
+        return labels, stack
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.points < 1:
             raise ValueError("points must be >= 1")
+        for name in ("start", "stop"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} = {value} is out of range: "
+                                 "|alpha|^2 must be finite and >= 0")
         if self.scale not in ("log", "linear"):
             raise ValueError("scale must be 'log' or 'linear'")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
@@ -214,8 +220,7 @@ def admit(scenario: Scenario) -> list[IndexSet]:
         quantities = list(dict.fromkeys(
             entry_quantity(cfg, kind, a, b) for iset in isets for kind in scenario.kinds
             for i, a in enumerate(iset.elements) for b in iset.elements[i:]))
-        for _, states in state.stack(grid):
-            check_range(states, cfg, quantities)
+        check_range(state.stack(grid)[1], cfg, quantities)
     return isets
 
 

@@ -197,30 +197,29 @@ def make_cat(alpha, parity: str, modes: int | None = None) -> CoherentSuperposit
 
     ``parity`` is "even" (+) or "odd" (-); the odd state is undefined at zero
     amplitude.  A scalar ``alpha`` with ``modes > 1`` is replicated per mode.
-    This is the one-point call of :func:`cat_stacks`.
+    This is the one-point, one-label call of :func:`cat_stack`.
     """
     amplitudes = np.array([_amplitude_tuple(alpha, modes)], dtype=complex)
-    stack, = cat_stacks(amplitudes, (parity,))
-    return stack.superposition(0)
+    return cat_stack(amplitudes, (parity,)).superposition((0, 0))
 
 
-def cat_stacks(amplitudes: np.ndarray, parities) -> list["CoherentStack"]:
-    """One stack of cats w (|alpha> + sign |-alpha>) per parity in ``parities``.
+def cat_stack(amplitudes: np.ndarray, parities) -> "CoherentStack":
+    """The cats w (|alpha> + sign |-alpha>) of every parity in ``parities``, as one stack.
 
     Row g of the (G, modes) ``amplitudes`` is alpha at grid point g, and w
-    is :func:`cat_weight` of sum_m |alpha_m|^2 taken on Python floats.  A
+    is :func:`cat_weight` of sum_m |alpha_m|^2 taken on Python floats.  The
+    parity sign lives only in the weights, so label l of the (L, G, C)
+    weights holds ``parities[l]`` and all labels share the amplitudes.  A
     zero row is the vacuum, padded with a zero-weight component, and a stack
     whose every row is zero is one component wide; an odd cat there raises
-    ValueError.  Normalization is left to the caller.  The stacks are
-    siblings: they share one amplitude part (see :class:`CoherentStack`),
-    as the parity sign lives only in the weights.
+    ValueError.  Normalization is left to the caller.
     """
     pumped = [sum(abs(a) ** 2 for a in row) for row in amplitudes.tolist()]
     vacuum = np.array([p == 0.0 for p in pumped])
     width = 1 if vacuum.all() else 2
     components = np.stack([amplitudes, -amplitudes], axis=1)[:, :width]
     components[vacuum] = 0.0
-    stacks = []
+    weights = []
     for parity in parities:
         if parity not in ("even", "odd"):
             raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
@@ -228,11 +227,8 @@ def cat_stacks(amplitudes: np.ndarray, parities) -> list["CoherentStack"]:
             raise ValueError("odd cat state is undefined at zero amplitude")
         sign = 1.0 if parity == "even" else -1.0
         first = np.array([1.0 if p == 0.0 else cat_weight(p, sign) for p in pumped])
-        weights = np.stack([first, np.where(vacuum, 0.0, sign * first)], axis=1)
-        stack = CoherentStack.__new__(CoherentStack)
-        stack._set(weights[:, :width].astype(complex), components, stacks[0] if stacks else None)
-        stacks.append(stack)
-    return stacks
+        weights.append(np.stack([first, np.where(vacuum, 0.0, sign * first)], axis=1))
+    return CoherentStack.from_arrays(np.array(weights, dtype=complex)[..., :width], components)
 
 
 def cat_weight(pumped: float, sign: float) -> float:
@@ -267,20 +263,16 @@ def _per_mode_exprs(expr, modes: int) -> tuple[NOExpr, ...]:
 class CoherentStack:
     """Coherent superpositions at G grid points, held as arrays.
 
-    ``weights`` has shape (G, C) and ``amplitudes`` shape (G, C, modes);
-    a state with fewer than C components is padded with zero weights, which
-    add exact zeros to every expectation.  The pair arrays that every
-    expectation needs are built once here: ``pair`` = conj(w_i) w_j of
-    shape (G, C, C), and per mode ``x`` = conj(a_i) a_j and the overlap
-    exponent ``overlap`` = log <a_i|a_j>, both of shape (G, C, C, modes).
-    For its lifetime a stack memoizes, as read-only arrays, each per-mode
-    factor of :func:`expect`, keyed by (mode, expression), and each
-    expectation, keyed by its per-mode expression tuple.
-
-    The stacks of :func:`cat_stacks` are siblings on one amplitude array.
-    They share the amplitude part: ``x``, ``overlap``, the factor memo and
-    the slot of :meth:`handoff`.  ``weights``, ``pair`` and the expectation
-    memo stay their own.
+    ``amplitudes`` has shape (G, C, modes) and ``weights`` shape (..., G, C):
+    (G, C) for a plain stack, or (L, G, C) for L state labels that share
+    the amplitudes, such as the cats of both parities.  A state with fewer
+    than C components is padded with zero weights, which add exact zeros to
+    every expectation.  The pair arrays that every expectation needs are
+    built once here: ``pair`` = conj(w_i) w_j of shape (..., G, C, C), and
+    per mode ``x`` = conj(a_i) a_j and the overlap exponent ``overlap`` =
+    log <a_i|a_j>, both of shape (G, C, C, modes).  For its lifetime a stack
+    memoizes, as read-only arrays, each per-mode factor of :func:`expect`,
+    keyed by (mode, expression).
     """
 
     def __init__(self, states: Sequence[CoherentSuperposition]):
@@ -299,7 +291,7 @@ class CoherentStack:
 
     @classmethod
     def from_arrays(cls, weights: np.ndarray, amplitudes: np.ndarray) -> "CoherentStack":
-        """The stack of (G, C) ``weights`` and (G, C, modes) ``amplitudes``, as given.
+        """The stack of (..., G, C) ``weights`` and (G, C, modes) ``amplitudes``, as given.
 
         Nothing is checked here; :meth:`check_normalized` checks every
         grid point at once.
@@ -308,38 +300,14 @@ class CoherentStack:
         stack._set(weights, amplitudes)
         return stack
 
-    def _set(self, weights: np.ndarray, amplitudes: np.ndarray,
-             sibling: "CoherentStack | None" = None) -> None:
+    def _set(self, weights: np.ndarray, amplitudes: np.ndarray) -> None:
         self.weights = w = weights
         self.amplitudes = a = amplitudes
-        self.pair = w.conj()[:, :, None] * w[:, None, :]
-        self._expectations = {}
-        if sibling is not None:  # ``amplitudes`` is the sibling's
-            if sibling._handoff is None:
-                sibling._handoff = {}
-            self.x, self.overlap = sibling.x, sibling.overlap
-            self._factors, self._handoff = sibling._factors, sibling._handoff
-            return
+        self.pair = w.conj()[..., :, None] * w[..., None, :]
         self.x = a.conj()[:, :, None, :] * a[:, None, :, :]
         norm = np.abs(a) ** 2
         self.overlap = -0.5 * (norm[:, :, None, :] + norm[:, None, :, :]) + self.x
-        self._factors, self._handoff = {}, None
-
-    def handoff(self, key, compute):
-        """``compute()``, an array that depends on the amplitude part only.
-
-        A stack with siblings keeps the array it computes for the next call
-        under ``key``, its own or a sibling's, which takes it; a call under
-        another key drops it.  A stack without siblings keeps nothing.
-        """
-        if self._handoff is None:
-            return compute()
-        value = self._handoff.pop(key, None)
-        if value is None:
-            value = compute()
-            self._handoff.clear()
-            self._handoff[key] = value
-        return value
+        self._factors = {}
 
     def factor(self, mode: int, expr: NOExpr) -> np.ndarray:
         """``expr.values`` at the (G, C, C) pairs of ``mode``; memoized, read-only."""
@@ -355,35 +323,36 @@ class CoherentStack:
         # sum_ij conj(w_i) w_j = |sum_i w_i|^2 is taken apart from the rest,
         # conj(w_i) w_j (<a_i|a_j> - 1), so that components of opposite sign
         # at small amplitude (an odd cat) do not cancel to 0.
-        return np.abs(self.weights.sum(axis=1)) ** 2 + (
-            self.pair * np.expm1(self.overlap.sum(axis=-1))).sum(axis=(1, 2))
+        return np.abs(self.weights.sum(axis=-1)) ** 2 + (
+            self.pair * np.expm1(self.overlap.sum(axis=-1))).sum(axis=(-2, -1))
 
     def check_normalized(self, points: Sequence) -> None:
         """Raise ValueError naming the first of ``points`` whose state is not normalized.
 
-        <psi|psi> must be 1 to 1e-12 at every grid point, as for a single
-        :class:`CoherentSuperposition`.
+        <psi|psi> must be 1 to 1e-12 at every grid point of every label, as
+        for a single :class:`CoherentSuperposition`; labels are taken in order.
         """
         norms = self.norms()
-        bad = np.flatnonzero(np.abs(norms - 1.0) > _NORM_TOL)
+        bad = np.argwhere(np.abs(norms - 1.0) > _NORM_TOL)
         if bad.size:
-            g = bad[0]
-            raise ValueError(
-                f"superposition at {points[g]!r} is not normalized: <psi|psi> = {norms[g]}"
-            )
+            first = tuple(bad[0])
+            raise ValueError(f"superposition at {points[first[-1]]!r} is not normalized: "
+                             f"<psi|psi> = {norms[first]}")
 
     @property
     def modes(self) -> int:
         return self.amplitudes.shape[2]
 
-    def superposition(self, g: int) -> CoherentSuperposition:
-        """The state at grid point ``g``, zero-weight padding included."""
-        return CoherentSuperposition(tuple(self.weights[g].tolist()),
+    def superposition(self, index) -> CoherentSuperposition:
+        """The state at grid point ``index``, or at (label, grid point) of a
+        labelled stack, zero-weight padding included."""
+        g = index[-1] if isinstance(index, tuple) else index
+        return CoherentSuperposition(tuple(self.weights[index].tolist()),
                                      tuple(map(tuple, self.amplitudes[g].tolist())))
 
 
 def pair_sum(terms: np.ndarray) -> np.ndarray:
-    """Real part of sum_ij terms[..., i, j]: G values of (G, C, C), (R, G) of (R, G, C, C).
+    """Real part of sum_ij terms[..., i, j]: (..., G) values of (..., G, C, C).
 
     Pairs are added one at a time in row-major order.  A sum that
     overflowed raises OverflowError; an imaginary part above 1e-10 of
@@ -411,22 +380,18 @@ def expect(state, expr):
     must go through :func:`expect_fock`, which is kept separate as the
     independent oracle.  For multimode states, ``expr`` is a sequence with
     one expression per mode and the product over modes is taken.  A
-    :class:`CoherentStack` gives a read-only array with one value per grid
-    point, memoized by the stack, as are the per-mode factors, which are
-    multiplied in mode order; sibling stacks share the factor memo, so each
-    factor is evaluated once for all parities.  A single superposition is
-    the one-point stack.
+    :class:`CoherentStack` gives a fresh array of the shape of its leading
+    weight axes, (G,) or (L, G): the per-mode factors, memoized by the stack
+    and multiplied in mode order, depend on the amplitudes only and are
+    shared by every label, whose pair weights are broadcast against them.
+    A single superposition is the one-point stack.
     """
     if isinstance(state, CoherentStack):
         exprs = _per_mode_exprs(expr, state.modes)
-        value = state._expectations.get(exprs)
-        if value is None:
-            factor = state.factor(0, exprs[0])
-            for mode in range(1, len(exprs)):
-                factor = factor * state.factor(mode, exprs[mode])
-            value = state._expectations[exprs] = pair_sum(state.pair * factor)
-            value.flags.writeable = False
-        return value
+        factor = state.factor(0, exprs[0])
+        for mode in range(1, len(exprs)):
+            factor = factor * state.factor(mode, exprs[mode])
+        return pair_sum(state.pair * factor)
     if isinstance(state, Mixture):
         return sum(p * expect(part, expr) for p, part in state.parts)
     if isinstance(state, FockVector):

@@ -395,11 +395,12 @@ def min_eig_sweep(states, cfg: DetectorConfig, kind: str, iset: IndexSet,
                   values: dict) -> tuple[np.ndarray, np.ndarray]:
     """Smallest eigenvalue and verdict of the ``kind`` matrix per grid point.
 
-    ``states`` is a :class:`~.states.CoherentStack`, or one state that
-    holds at every grid point, which gives 0-d results.  ``values`` maps
-    each :func:`entry_quantity` to its values and is filled on demand, so a
+    ``states`` is a :class:`~.states.CoherentStack`, which gives (G,) or,
+    with L state labels, (L, G) results, or one state that holds at every
+    grid point, which gives 0-d results.  ``values`` maps each
+    :func:`entry_quantity` to its values and is filled on demand, so a
     quantity shared by entries, sets or kinds is evaluated once.  The
-    matrices form one (G, d, d) stack for a single eigensolver call.
+    matrices form one (..., G, d, d) stack for a single eigensolver call.
     """
     entries = _state_entries(states, cfg, kind, iset, values)
     min_eig = min_eigenvalues(entries)

@@ -55,7 +55,8 @@ def run_counted(argv: list) -> tuple[int, int, str, Path]:
         for module, name in KERNELS:
             patch.setattr(module, name, counted(getattr(module, name)))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--outdir", str(outdir)])
+            # witness writes no files, so it takes no --outdir
+            code = main(argv if argv[0] == "witness" else [*argv, "--outdir", str(outdir)])
     return code, len(calls), out.getvalue() + err.getvalue(), outdir
 
 
@@ -192,6 +193,19 @@ ONE_POINT = ["--start", "100", "--stop", "100", "--points", "1"]
      "index-set enumeration is capped at MAX_LEVELS = 6, got levels=7"),
     (["sweep", "--model", "onoff", "--bins", "65", "--points", "2"],
      "bins is capped at MAX_EXACT_N = 64, got 65"),
+    # |alpha|^2 endpoints that are not finite, or negative, were evaluated
+    (["sweep", "--bins", "5", "--start", "nan"], "start = nan is out of range: |alpha|^2 must"),
+    (["sweep", "--bins", "5", "--stop", "inf"], "stop = inf is out of range: |alpha|^2 must"),
+    (["sweep", "--bins", "5", "--scale", "linear", "--start", "-1"],
+     "start = -1.0 is out of range: |alpha|^2 must be finite and >= 0"),
+    (["witness", "--bins", "5", "--alpha2", "nan"], "start = nan is out of range"),
+    (["sample", "--bins", "5", "--alpha2", "nan", "--shots", "10"],
+     "start = nan is out of range"),
+    # set flags without --witness choose nothing
+    (["sample", "--model", "onoff", "--bins", "5", "--shots", "10", "--set", "0,1/2"],
+     "--set and --sets choose the sets of the empirical witnesses; they need --witness"),
+    (["sample", "--model", "pnr", "--bins", "4", "--levels", "2", "--sets", "integer",
+      "--shots", "10"], "they need --witness"),
 ])
 def test_rejected_before_any_kernel_call(argv, message):
     code, calls, text, outdir = run_counted(argv)
@@ -218,6 +232,8 @@ def test_rejected_before_any_kernel_call(argv, message):
     # Bin(6, eta) photons, not all six
     ["sample", "--model", "photoelectric", "--state", "fock", "--coeffs", "0,0,0,0,0,0,1",
      "--efficiency", "0.01", "--n-max", "5", "--shots", "10"],
+    # without set flags, sample draws whatever the "all" sets would need
+    ["sample", "--model", "onoff", "--bins", "40", "--shots", "10"],
 ])
 def test_admitted_near_the_limits(argv):
     check_admission(argv)

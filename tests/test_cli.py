@@ -76,6 +76,11 @@ class TestScenarioParsing:
         ({"detector": {"model": "onoff", "bins": 5, "dark": "0.1"}}, "dark"),
         ({"sweep": {"start": 0.1, "stop": 1.0, "points": 2.7}}, "points"),
         ({"sweep": {"start": True, "stop": 1.0, "points": 3}}, "start"),
+        # JSON reads NaN and Infinity; an endpoint must be a finite |alpha|^2 >= 0
+        ({"sweep": {"start": float("nan"), "stop": 1.0, "points": 3}}, "start = nan"),
+        ({"sweep": {"start": 0.1, "stop": float("inf"), "points": 3}}, "stop = inf"),
+        ({"sweep": {"start": -1.0, "stop": 1.0, "points": 3, "scale": "linear"}},
+         "start = -1.0"),
         ({"state": {"kind": "cat", "parity": "both", "modes": True}}, "modes"),
         ({"state": {"kind": "fock", "coefficients": [0.6, True]}}, "coefficients"),
         ({"mode_counts": [2.5]}, "mode_counts"),

@@ -32,7 +32,7 @@ from clickwitness.states import (
     CoherentStack,
     FockVector,
     Mixture,
-    cat_stacks,
+    cat_stack,
     coherent_state,
     expect,
     expect_any,
@@ -571,29 +571,32 @@ def test_one_array_pass_equals_the_row_loop_bit_for_bit(case):
     assert _bits([povm_product_value(state, cfg, rows[0])]) == _bits(want[:1])
 
 
-def _sibling(weights, amplitudes, first=None):
-    """A stack of ``weights`` on ``amplitudes``, a sibling of ``first`` when given."""
-    stack = CoherentStack.__new__(CoherentStack)
-    stack._set(weights, amplitudes, first)
-    return stack
+def _per_label(stack, request):
+    """The bits of ``request`` on ``stack``, one bytes string per state label.
 
-
-def _evaluate(stack, request):
+    A request is a kernel call (config, rows) or per-mode expressions; a
+    plain (G, C) stack is one label.
+    """
     if isinstance(request[0], DetectorConfig):
-        return np.array(povm_product_value(stack, *request)).tobytes()
-    return expect(stack, request).tobytes()
+        values = np.array(povm_product_value(stack, *request))
+    else:
+        values = expect(stack, request)[None]
+    if stack.weights.ndim == 2:
+        values = values[:, None]
+    return [np.ascontiguousarray(values[:, k]).tobytes() for k in range(values.shape[1])]
 
 
 @st.composite
-def sibling_cases(draw):
-    """Two sibling stacks, the same two stacks built alone, requests and calls.
+def labelled_cases(draw):
+    """A stack of 1-3 state labels, one stack per label built alone, requests and calls.
 
-    The siblings are cats of both parities from ``cat_stacks``, or two
-    complex weightings of one set of random complex two-component
-    amplitudes, in 1-3 modes.  Requests are kernel calls (one mode only) and
-    per-mode expressions; the second of each kind differs from the first in
-    one part, so that a hand-off under the wrong key would show.  Calls name
-    a sibling and a request, in any order.
+    The labels are cats of drawn parities from one ``cat_stack`` call, each
+    also built alone by ``cat_stack``, or complex weightings of one set of
+    random complex two-component amplitudes, each also a plain stack, in 1-3
+    modes.  Requests are kernel calls (one mode only) and per-mode
+    expressions; the second of each kind differs from the first in one
+    part, so that a stale factor memo would show.  Calls name a request, in
+    any order.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     modes, points = draw(st.integers(1, 3)), draw(st.integers(1, 4))
@@ -601,15 +604,16 @@ def sibling_cases(draw):
     amplitudes = np.sqrt(rng.uniform(0.01, 12.0, shape)) * np.exp(
         2j * np.pi * rng.uniform(size=shape))
     if draw(st.booleans()):
-        siblings = cat_stacks(amplitudes, ("even", "odd"))
-        alone = [cat_stacks(amplitudes, (parity,))[0] for parity in ("even", "odd")]
+        parities = draw(st.lists(st.sampled_from(["even", "odd"]), min_size=1, max_size=3))
+        stack = cat_stack(amplitudes, parities)
+        alone = [cat_stack(amplitudes, (parity,)) for parity in parities]
     else:
         components = np.stack([amplitudes, amplitudes * np.exp(
             2j * np.pi * rng.uniform(size=shape))], axis=1)
-        weights = [rng.normal(size=(points, 2)) + 1j * rng.normal(size=(points, 2))
-                   for _ in range(2)]
-        first = _sibling(weights[0], components)
-        siblings = [first, _sibling(weights[1], components, first)]
+        labels = draw(st.integers(1, 3))
+        weights = (rng.normal(size=(labels, points, 2))
+                   + 1j * rng.normal(size=(labels, points, 2)))
+        stack = CoherentStack.from_arrays(weights, components)
         alone = [CoherentStack.from_arrays(w, components) for w in weights]
     exprs = [random_noexpr(rng) for _ in range(modes)]
     other = list(exprs)
@@ -622,67 +626,42 @@ def sibling_cases(draw):
         cfg = (DetectorConfig.onoff(bins, eta, dark) if levels == 1
                else DetectorConfig.pnr(bins, levels, eta, dark))
         rows = draw(st.lists(st.sampled_from(_exponent_rows(cfg)), min_size=1, max_size=8))
-        # pnr with K = 1 is the on-off model, so it may take the on-off product
-        change = draw(st.sampled_from(["dark", "efficiency", "rows"] + ["model"] * (levels == 1)))
-        if change == "model":
-            moved = DetectorConfig.pnr(bins, 1, eta, dark)
-        elif change == "rows":
-            moved, rows_moved = cfg, rows[::-1] + rows[:1]
-        else:
-            moved = dataclasses.replace(cfg, **{change: getattr(cfg, change) * 0.5})
-        if change != "rows":
-            rows_moved = rows
-        requests += [(cfg, rows), (moved, rows_moved)]
-    calls = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, len(requests) - 1)),
-                          min_size=2, max_size=8))
-    return siblings, alone, requests, calls
+        change = draw(st.sampled_from(["dark", "efficiency"]))
+        moved = dataclasses.replace(cfg, **{change: getattr(cfg, change) * 0.5 + 0.01})
+        requests += [(cfg, rows), (moved, rows[::-1])]
+    calls = draw(st.lists(st.integers(0, len(requests) - 1), min_size=2, max_size=8))
+    return stack, alone, requests, calls
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(sibling_cases())
-def test_sibling_stacks_give_the_bits_of_stacks_built_alone(case):
-    siblings, alone, requests, calls = case
-    assert siblings[0].x is siblings[1].x and siblings[0]._factors is siblings[1]._factors
-    for which, k in calls:
-        assert _evaluate(siblings[which], requests[k]) == _evaluate(alone[which], requests[k])
-
-
-def _kept_products(monkeypatch):
-    """The stacks of every hand-off call, recorded as the calls return."""
-    seen, handoff = [], CoherentStack.handoff
-
-    def recorded(stack, key, compute):
-        value = handoff(stack, key, compute)
-        seen.append(stack)
-        return value
-
-    monkeypatch.setattr(CoherentStack, "handoff", recorded)
-    return seen
+@given(labelled_cases())
+def test_labelled_stacks_give_the_bits_of_stacks_built_alone(case):
+    stack, alone, requests, calls = case
+    assert [np.ascontiguousarray(pair).tobytes() for pair in stack.pair] == [
+        np.ascontiguousarray(one.pair.reshape(stack.pair.shape[1:])).tobytes() for one in alone]
+    for k in calls:
+        assert _per_label(stack, requests[k]) == [
+            bits for one in alone for bits in _per_label(one, requests[k])]
 
 
 @pytest.mark.parametrize("build", [
     lambda: make_cat(1.2, "odd"),
     lambda: CoherentStack([make_cat(0.4, "even"), make_cat(1.9, "odd")]),
-    lambda: StateInput("cat", parity="odd").stack((0.1, 2.0, 5.0))[0][1],
-    lambda: StateInput("coherent").stack((0.1, 2.0))[0][1],
-], ids=["make_cat", "stack", "one-parity-input", "coherent-input"])
-def test_a_stack_without_siblings_keeps_no_product(build, monkeypatch):
-    seen = _kept_products(monkeypatch)
+    lambda: StateInput("cat", parity="odd").stack((0.1, 2.0, 5.0))[1],
+    lambda: StateInput("coherent").stack((0.1, 2.0))[1],
+    lambda: StateInput("cat", parity="both").stack((0.1, 2.0, 5.0))[1],
+], ids=["make_cat", "stack", "one-parity-input", "coherent-input", "both-parity-input"])
+def test_a_stack_without_siblings_keeps_no_product(build):
+    # a kernel call keeps nothing on its stack, which holds the weights of
+    # every label: the only memo left is expect's per-mode factors
     state = build()
+    stack = state if isinstance(state, CoherentStack) else CoherentStack([state])
+    before = dict(vars(stack))
     for cfg in (DetectorConfig.onoff(5, 0.5), DetectorConfig.pnr(4, 2, 0.5, 0.02)):
-        povm_product_value(state, cfg, _exponent_rows(cfg))
-    assert len(seen) == 2
-    assert all(stack._handoff is None for stack in seen)
-
-
-def test_the_sibling_takes_the_product_and_the_slot_empties(monkeypatch):
-    seen = _kept_products(monkeypatch)
-    (_, even), (_, odd) = StateInput("cat", parity="both").stack((0.1, 2.0, 5.0))
-    cfg = DetectorConfig.onoff(5, 0.5)
-    povm_product_value(even, cfg, [(1, 2), (0, 3)])
-    assert even._handoff is odd._handoff and len(odd._handoff) == 1
-    povm_product_value(odd, cfg, [(1, 2), (0, 3)])
-    assert seen == [even, odd] and odd._handoff == {}
+        values = povm_product_value(stack, cfg, _exponent_rows(cfg))
+        assert all(value.shape == stack.weights.shape[:-1] for value in values)
+    assert vars(stack).keys() == before.keys() and stack._factors == {}
+    assert all(vars(stack)[key] is value for key, value in before.items())
 
 
 def test_row_powers_keep_the_bits_of_one_row_at_a_time():

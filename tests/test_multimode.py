@@ -263,21 +263,21 @@ class TestRatioCriterion:
     @pytest.mark.parametrize("modes", MODE_COUNTS)
     def test_stack_matches_each_point(self, modes):
         # fig6's order of calls: the mean photon number, then every case, on
-        # one stack whose factors and expectations are memoized between them
+        # one stack of both labels whose factors are memoized between them
         grid = (0.3, 1.0, 4.0)
         cats = StateInput("cat", parity="both", modes=modes)
         zeros = (0,) * (modes - 1)
         pairs = [((0,), (2,)), ((0,), (1,)), (("1/2",), ("3/2",)), (("1/2",), ("5/2",))]
-        for label, stack in cats.stack(grid):
-            states = [dict(cats.build(alpha2))[label] for alpha2 in grid]
-            mean = mean_total_photons(stack)
-            assert mean.tolist() == [mean_total_photons(state) for state in states]
-            for n_raw, m_raw in pairs:
-                n, m = MultiIndex.of(n_raw + zeros), MultiIndex.of(m_raw + zeros)
-                got = ratio_criterion(stack, n, m)
-                points = [ratio_criterion(state, n, m) for state in states]
-                assert got.ratio.tolist() == [p.ratio for p in points]
-                assert got.verdict.tolist() == [p.verdict for p in points]
+        labels, stack = cats.stack(grid)
+        states = [[dict(cats.build(alpha2))[label] for alpha2 in grid] for label in labels]
+        mean = mean_total_photons(stack)
+        assert mean.tolist() == [[mean_total_photons(state) for state in row] for row in states]
+        for n_raw, m_raw in pairs:
+            n, m = MultiIndex.of(n_raw + zeros), MultiIndex.of(m_raw + zeros)
+            got = ratio_criterion(stack, n, m)
+            points = [[ratio_criterion(state, n, m) for state in row] for row in states]
+            assert got.ratio.tolist() == [[p.ratio for p in row] for row in points]
+            assert got.verdict.tolist() == [[p.verdict for p in row] for row in points]
 
 
 class TestCountRatioCriterion:
@@ -330,16 +330,18 @@ class TestCountRatioCriterion:
         pairs = [((0, 0), (1, 0)), ((0, 0), (2, 0)), (("1/2", 0), ("3/2", 0)),
                  ((1, 0), (0, 1))]
         verdicts = set()
-        for label, stack in cats.stack(grid):
-            states = [dict(cats.build(alpha2))[label] for alpha2 in grid]
-            for n_raw, m_raw in pairs:
-                n, m = MultiIndex.of(n_raw), MultiIndex.of(m_raw)
-                got = count_ratio_criterion(stack, n, m, eta)
-                points = [count_ratio_criterion(state, n, m, eta) for state in states]
-                assert got.case == points[0].case
-                assert np.array_equal(got.ratio, [p.ratio for p in points], equal_nan=True)
-                assert got.verdict.tolist() == [p.verdict for p in points]
-                verdicts.update(p.verdict for p in points)
+        labels, stack = cats.stack(grid)
+        states = [[dict(cats.build(alpha2))[label] for alpha2 in grid] for label in labels]
+        for n_raw, m_raw in pairs:
+            n, m = MultiIndex.of(n_raw), MultiIndex.of(m_raw)
+            got = count_ratio_criterion(stack, n, m, eta)
+            points = [[count_ratio_criterion(state, n, m, eta) for state in row]
+                      for row in states]
+            assert got.case == points[0][0].case
+            assert np.array_equal(got.ratio, [[p.ratio for p in row] for row in points],
+                                  equal_nan=True)
+            assert got.verdict.tolist() == [[p.verdict for p in row] for row in points]
+            verdicts.update(p.verdict for row in points for p in row)
         if eta == 1.0:
             # parity-forbidden coincidences make denominators vanish
             assert {DIVERGENT, INDETERMINATE} <= verdicts
@@ -418,7 +420,7 @@ class TestMultimodeMatrices:
         calls = []
         monkeypatch.setattr(multimode, "joint_moment", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(multimode, "joint_counts", lambda *a, **k: calls.append(a))
-        [(_, stack)] = StateInput("cat", parity="odd", modes=2).stack((0.5, 1.0))
+        _, stack = StateInput("cat", parity="odd", modes=2).stack((0.5, 1.0))
         with pytest.raises(ValueError, match="takes one state"):
             multimode_matrices(stack, ((0, 0), (1, 0)), kind=kind)
         assert calls == []

@@ -288,7 +288,7 @@ class TestCoherentStack:
             CoherentStack([coherent_state(1.0), coherent_state(1.0, modes=2)])
 
     @pytest.mark.parametrize("modes", [1, 3])
-    def test_memoized_expectations_are_read_only_and_fresh(self, modes):
+    def test_memoized_factors_are_read_only_and_fresh(self, modes):
         rng = np.random.default_rng(11 + modes)
         states = [make_cat(tuple(rng.normal(size=modes) + 1j * rng.normal(size=modes)),
                            parity) for parity in ("even", "odd", "odd")]
@@ -303,17 +303,21 @@ class TestCoherentStack:
         for expr in calls:
             got = expect(stack, expr)
             want = expect(CoherentStack(states), expr)
-            assert not got.flags.writeable
             assert got.tobytes() == want.tobytes()
-            assert expect(stack, expr) is got
-            with pytest.raises(ValueError, match="read-only"):
-                got += 1.0
+            # an expectation is a fresh array of its own
+            assert got.flags.writeable and expect(stack, expr) is not got
+            for mode, part in enumerate(expr if modes > 1 else (expr,)):
+                factor = stack.factor(mode, part)
+                assert not factor.flags.writeable and stack.factor(mode, part) is factor
+                with pytest.raises(ValueError, match="read-only"):
+                    factor += 1.0
 
 
 class TestArrayStacks:
     """``StateInput.stack`` against the stack of the states ``build`` makes."""
 
-    FIELDS = ("weights", "amplitudes", "pair", "x", "overlap")
+    LABELLED = ("weights", "pair")
+    SHARED = ("amplitudes", "x", "overlap")
     SWEEPS = (
         SweepSpec(start=1e-2, stop=1e1, points=200),
         SweepSpec(start=1e-3, stop=20.0, points=37),
@@ -327,6 +331,13 @@ class TestArrayStacks:
             (label, CoherentStack([point[k][1] for point in states]))
             for k, (label, _) in enumerate(states[0])
         ]
+
+    @staticmethod
+    def same_bits(x, y, field):
+        assert x.shape == y.shape
+        assert np.all(x == y), field
+        # the same bits, signs of zeros included
+        assert np.ascontiguousarray(x).tobytes() == y.tobytes(), field
 
     @pytest.mark.parametrize("modes", [1, 2, 3, 5])
     @pytest.mark.parametrize("kind, parity", [
@@ -344,27 +355,26 @@ class TestArrayStacks:
             assert str(got.value) == str(want.value)
             return
         want = self.per_point(state_input, grid, modes)
-        got = state_input.stack(grid, modes)
-        assert [label for label, _ in got] == [label for label, _ in want]
-        for (_, a), (_, b) in zip(got, want):
-            for field in self.FIELDS:
-                x, y = getattr(a, field), getattr(b, field)
-                assert x.shape == y.shape
-                assert np.all(x == y), field
-                # the same bits, signs of zeros included
-                assert np.ascontiguousarray(x).tobytes() == y.tobytes(), field
+        labels, stack = state_input.stack(grid, modes)
+        assert labels == tuple(label for label, _ in want)
+        assert stack.weights.shape[0] == len(labels)
+        for k, (_, one) in enumerate(want):
+            for field in self.LABELLED:
+                self.same_bits(getattr(stack, field)[k], getattr(one, field), field)
+            for field in self.SHARED:
+                self.same_bits(getattr(stack, field), getattr(one, field), field)
 
     def test_all_vacuum_grid_is_one_component(self):
         state_input = StateInput("cat", parity="even", modes=2)
-        (label, stack), = state_input.stack((0.0, 0.0))
-        assert label == "cat_even"
-        assert stack.weights.shape == (2, 1)
-        assert np.array_equal(stack.weights, np.ones((2, 1)))
+        labels, stack = state_input.stack((0.0, 0.0))
+        assert labels == ("cat_even",)
+        assert stack.weights.shape == (1, 2, 1)
+        assert np.array_equal(stack.weights, np.ones((1, 2, 1)))
 
     def test_fock_input_is_returned_once(self):
         state_input = StateInput("fock", coefficients=(0.6, 0.0, 0.8))
-        (label, state), = state_input.stack((0.1, 0.2))
-        assert label == "fock" and isinstance(state, FockVector)
+        labels, state = state_input.stack((0.1, 0.2))
+        assert labels == ("fock",) and isinstance(state, FockVector)
 
     def test_unnormalized_point_is_named(self, monkeypatch):
         from clickwitness import states
@@ -389,8 +399,8 @@ class TestArrayStacks:
     def test_odd_cat_at_tiny_amplitude_is_normalized(self):
         # its weights cancel in sum_ij conj(w_i) w_j, which is taken apart
         grid = (1e-17, 1e-10, 1e-4)
-        (label, stack), = StateInput("cat", parity="odd").stack(grid)
-        assert label == "cat_odd" and len(stack.weights) == len(grid)
+        labels, stack = StateInput("cat", parity="both").stack(grid)
+        assert labels == ("cat_even", "cat_odd") and stack.weights.shape[:2] == (2, len(grid))
         off = CoherentStack.from_arrays(stack.weights * np.array([[1.0], [1.0 + 1e-9], [1.0]]),
                                         stack.amplitudes)
         with pytest.raises(ValueError, match=r"at 1e-10 is not normalized"):
@@ -449,11 +459,11 @@ class TestCatBuilder:
             state_input = StateInput(kind, parity=parity)
             for modes in (1, 2, 3):
                 built = state_input.build(0.8, modes)
-                stacked = state_input.stack((0.8,), modes)
-                assert [label for label, _ in built] == [label for label, _ in stacked]
-                for (_, state), (_, stack) in zip(built, stacked):
+                labels, stack = state_input.stack((0.8,), modes)
+                assert [label for label, _ in built] == list(labels)
+                for k, (_, state) in enumerate(built):
                     assert isinstance(state, CoherentSuperposition)
-                    self.same(state, stack.superposition(0))
+                    self.same(state, stack.superposition((k, 0)))
         for parity in ("even", "odd"):
             (_, cat), = StateInput("cat", parity=parity, modes=2).build(1.5)
             self.same(cat, scalar_make_cat(math.sqrt(0.75), parity, 2))

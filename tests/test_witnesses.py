@@ -682,10 +682,11 @@ def test_wide_onoff_sweep_evaluates_tail_series_once_per_kernel_call(monkeypatch
                                  DetectorConfig.pnr(8, 2, 0.5, 0.01)], ids=["onoff", "pnr"])
 def test_both_parity_sweep_evaluates_tail_series_once_per_sibling_pair(cfg, monkeypatch,
                                                                         tmp_path):
-    # the even and odd cat stacks ask for the same rows in turn, and the
-    # second takes the first's amplitude-only product
+    # the even and odd cats are two labels of one stack: every (kind, set)
+    # with missing quantities makes one kernel call, which returns both
+    # labels' values and takes the tail series once
     from clickwitness import cli, detectors, witnesses
-    from clickwitness.scenarios import Scenario, StateInput, SweepSpec
+    from clickwitness.scenarios import Scenario, StateInput, SweepSpec, admit
 
     calls = {"tail": 0, "kernel": []}
     tail_series, kernel = detectors._tail_series, witnesses.povm_product_value
@@ -695,16 +696,28 @@ def test_both_parity_sweep_evaluates_tail_series_once_per_sibling_pair(cfg, monk
         return tail_series(*args)
 
     def counted_kernel(states, cfg, rows):
-        calls["kernel"].append((states, rows))
-        return kernel(states, cfg, rows)
+        values = kernel(states, cfg, rows)
+        calls["kernel"].append((states, rows, values))
+        return values
 
     monkeypatch.setattr(detectors, "_tail_series", counted_tail)
     monkeypatch.setattr(witnesses, "povm_product_value", counted_kernel)
     scenario = Scenario(name="pairs", state=StateInput("cat", parity="both"), detector=cfg,
                         kinds=("counts", "moments"), sweep=SweepSpec(1e-2, 30.0, 12))
+    known, missing = set(), []
+    for kind in scenario.kinds:
+        for iset in admit(scenario):
+            quantities = {entry_quantity(cfg, kind, a, b) for a in iset.elements
+                          for b in iset.elements}
+            if quantities - known:
+                missing.append(quantities - known)
+            known |= quantities
     cli.run(scenario, tmp_path)
     kernel_calls = calls["kernel"]
-    assert len(kernel_calls) >= 2 and len(kernel_calls) % 2 == 0
-    for (even, rows), (odd, same) in zip(kernel_calls[::2], kernel_calls[1::2]):
-        assert even is not odd and even.x is odd.x and rows == same
-    assert 1 <= calls["tail"] <= len(kernel_calls) // 2
+    assert len(kernel_calls) == len(missing) >= 1
+    assert all(states is kernel_calls[0][0] for states, _, _ in kernel_calls)
+    for (_, rows, values), want in zip(kernel_calls, missing):
+        assert set(rows) == want
+        assert all(value.shape == (2, 12) for value in values)
+    levels = cfg.levels or 1
+    assert calls["tail"] == sum(any(row[levels] for row in rows) for _, rows, _ in kernel_calls)
