@@ -76,11 +76,6 @@ class TestScenarioParsing:
         ({"detector": {"model": "onoff", "bins": 5, "dark": "0.1"}}, "dark"),
         ({"sweep": {"start": 0.1, "stop": 1.0, "points": 2.7}}, "points"),
         ({"sweep": {"start": True, "stop": 1.0, "points": 3}}, "start"),
-        # JSON reads NaN and Infinity; an endpoint must be a finite |alpha|^2 >= 0
-        ({"sweep": {"start": float("nan"), "stop": 1.0, "points": 3}}, "start = nan"),
-        ({"sweep": {"start": 0.1, "stop": float("inf"), "points": 3}}, "stop = inf"),
-        ({"sweep": {"start": -1.0, "stop": 1.0, "points": 3, "scale": "linear"}},
-         "start = -1.0"),
         ({"state": {"kind": "cat", "parity": "both", "modes": True}}, "modes"),
         ({"state": {"kind": "fock", "coefficients": [0.6, True]}}, "coefficients"),
         ({"mode_counts": [2.5]}, "mode_counts"),
@@ -90,6 +85,16 @@ class TestScenarioParsing:
     def test_malformed_fields_raise_value_errors(self, changes, field):
         with pytest.raises(ValueError, match=field):
             scenario_from_json(json.dumps(dict(self.BASE, **changes)))
+
+    # JSON reads NaN and Infinity; an endpoint must be a finite |alpha|^2 >= 0
+    @pytest.mark.parametrize("sweep, message", [
+        ({"start": float("nan"), "stop": 1.0, "points": 3}, "start = nan"),
+        ({"start": 0.1, "stop": float("inf"), "points": 3}, "stop = inf"),
+        ({"start": -1.0, "stop": 1.0, "points": 3, "scale": "linear"}, "start = -1.0"),
+    ], ids=["start-nan", "stop-inf", "start-negative"])
+    def test_sweep_endpoints_must_be_finite_and_non_negative(self, sweep, message):
+        with pytest.raises(ValueError, match=message):
+            scenario_from_json(json.dumps(dict(self.BASE, sweep=sweep)))
 
     @pytest.mark.parametrize("changes, message", [
         # a mode count below 1 wrote modes=0 rows computed for one mode, or
