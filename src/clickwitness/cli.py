@@ -249,8 +249,8 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_set_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sets", default="all",
-                        help="index-set preset: integer, half, or all")
+    parser.add_argument("--sets",
+                        help="index-set preset: integer, half, or all (the default)")
     parser.add_argument("--set", action="append", dest="explicit_sets",
                         metavar="ELEMENTS",
                         help="explicit set, e.g. '0,1,2' or '1/2:0:3/2,3/2:0:1/2'")
@@ -281,7 +281,7 @@ def _sets_arg(args):
             (f"custom{i}", tuple(_parse_element(tok) for tok in spec.split(",")))
             for i, spec in enumerate(args.explicit_sets)
         )
-    return args.sets
+    return "all" if args.sets is None else args.sets
 
 
 def _distribution(state, cfg: DetectorConfig, n_max: int):
@@ -375,7 +375,7 @@ def _cmd_sample(args) -> int:
     (state_label, state), = state_input.build(args.alpha2)
     if cfg.model == PHOTOELECTRIC:
         check_truncation(state, cfg, args.n_max)
-    if not args.witness and (args.explicit_sets or args.sets != "all"):
+    if not args.witness and (args.explicit_sets or args.sets is not None):
         raise ValueError("--set and --sets choose the sets of the empirical witnesses; "
                          "they need --witness")
     dist = _distribution(state, cfg, args.n_max)

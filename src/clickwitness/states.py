@@ -343,12 +343,11 @@ class CoherentStack:
     def modes(self) -> int:
         return self.amplitudes.shape[2]
 
-    def superposition(self, index) -> CoherentSuperposition:
-        """The state at grid point ``index``, or at (label, grid point) of a
-        labelled stack, zero-weight padding included."""
-        g = index[-1] if isinstance(index, tuple) else index
+    def superposition(self, index: tuple) -> CoherentSuperposition:
+        """The state at ``index``, (label, grid point) of a labelled stack or
+        (grid point,) of a plain one, zero-weight padding included."""
         return CoherentSuperposition(tuple(self.weights[index].tolist()),
-                                     tuple(map(tuple, self.amplitudes[g].tolist())))
+                                     tuple(map(tuple, self.amplitudes[index[-1]].tolist())))
 
 
 def pair_sum(terms: np.ndarray) -> np.ndarray:

@@ -206,6 +206,8 @@ ONE_POINT = ["--start", "100", "--stop", "100", "--points", "1"]
      "--set and --sets choose the sets of the empirical witnesses; they need --witness"),
     (["sample", "--model", "pnr", "--bins", "4", "--levels", "2", "--sets", "integer",
       "--shots", "10"], "they need --witness"),
+    (["sample", "--model", "onoff", "--bins", "5", "--sets", "all", "--shots", "10"],
+     "they need --witness"),
 ])
 def test_rejected_before_any_kernel_call(argv, message):
     code, calls, text, outdir = run_counted(argv)

@@ -399,10 +399,21 @@ class TestArrayStacks:
     def test_odd_cat_at_tiny_amplitude_is_normalized(self):
         # its weights cancel in sum_ij conj(w_i) w_j, which is taken apart
         grid = (1e-17, 1e-10, 1e-4)
+        scale = np.array([[1.0], [1.0 + 1e-9], [1.0]])
+        labels, stack = StateInput("cat", parity="odd").stack(grid)
+        assert labels == ("cat_odd",) and stack.weights.shape[:2] == (1, len(grid))
+        stack.check_normalized(grid)
+        off = CoherentStack.from_arrays(stack.weights * scale, stack.amplitudes)
+        with pytest.raises(ValueError, match=r"at 1e-10 is not normalized"):
+            off.check_normalized(grid)
+        # labelled: only the odd label is off, so only its norm can raise
         labels, stack = StateInput("cat", parity="both").stack(grid)
-        assert labels == ("cat_even", "cat_odd") and stack.weights.shape[:2] == (2, len(grid))
-        off = CoherentStack.from_arrays(stack.weights * np.array([[1.0], [1.0 + 1e-9], [1.0]]),
-                                        stack.amplitudes)
+        assert labels == ("cat_even", "cat_odd")
+        stack.check_normalized(grid)
+        weights = stack.weights.copy()
+        weights[1] *= scale
+        off = CoherentStack.from_arrays(weights, stack.amplitudes)
+        assert np.abs(off.norms()[0] - 1.0).max() <= 1e-12
         with pytest.raises(ValueError, match=r"at 1e-10 is not normalized"):
             off.check_normalized(grid)
 
