@@ -284,6 +284,12 @@ def _sets_arg(args):
     return "all" if args.sets is None else args.sets
 
 
+def _one_point(args) -> SweepSpec:
+    """The one-point grid of ``witness`` and ``sample``, at --alpha2."""
+    SweepSpec.check_intensity(args.alpha2, "--alpha2")
+    return SweepSpec(start=args.alpha2, stop=args.alpha2, points=1, scale="linear")
+
+
 def _distribution(state, cfg: DetectorConfig, n_max: int):
     if cfg.model == PHOTOELECTRIC:
         return photo_distribution(state, cfg, n_max)
@@ -303,8 +309,7 @@ def _cmd_witness(args) -> int:
         detector=_detector(args),
         sets=_sets_arg(args),
         kinds=tuple(args.kind),
-        sweep=SweepSpec(start=args.alpha2, stop=args.alpha2, points=1,
-                        scale="linear"),
+        sweep=_one_point(args),
     )
     cfg = scenario.detector
     isets = admit(scenario)
@@ -365,7 +370,7 @@ def _cmd_sample(args) -> int:
     scenario = Scenario(
         name="sample", state=state_input, detector=_detector(args),
         sets=_sets_arg(args), kinds=("counts",),
-        sweep=SweepSpec(start=args.alpha2, stop=args.alpha2, points=1, scale="linear"),
+        sweep=_one_point(args),
     )
     cfg = scenario.detector
     shots = check_shots(args.shots)

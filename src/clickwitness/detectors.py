@@ -31,6 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
+# states.expect is looked up at each call, so a wrapper set on it sees them
+from . import states
 from .numerics import binom, check_exact, falling_factorial, multinom
 from .states import (
     CoherentStack,
@@ -39,7 +41,6 @@ from .states import (
     Mixture,
     NOExpr,
     StateSpec,
-    expect_any,
     pair_sum,
 )
 
@@ -344,10 +345,7 @@ def _povm_values(state, cfg: DetectorConfig, levels: int, rows: list) -> list:
     if isinstance(state, FockVector):
         return [float(v) for v in _number_values(state.probabilities(), cfg, levels, rows)]
     if isinstance(state, CoherentSuperposition):
-        return [
-            float(value[0])
-            for value in _povm_values(CoherentStack([state]), cfg, levels, rows)
-        ]
+        return [float(value[0]) for value in _povm_values(state.stack, cfg, levels, rows)]
     if not isinstance(state, CoherentStack):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     if state.modes != 1:
@@ -501,7 +499,7 @@ def check_range(state, cfg: DetectorConfig, quantities) -> None:
             return
         x = np.array([[float(state.n_max)]])
     elif isinstance(state, (CoherentStack, CoherentSuperposition)):
-        stack = state if isinstance(state, CoherentStack) else CoherentStack([state])
+        stack = state if isinstance(state, CoherentStack) else state.stack
         x = stack.x[..., 0].real.reshape(len(stack.x), -1)
     else:
         return  # the kernel names an unsupported state
@@ -544,7 +542,7 @@ def photo_distribution(state: StateSpec, cfg: DetectorConfig,
     monomials = [NOExpr.monomial(1.0 / math.factorial(n), n, 1.0, rate, offset)
                  for n in range(n_max + 1)]
     check_range(state, cfg, monomials)
-    probs = [expect_any(state, monomial) for monomial in monomials]
+    probs = [states.expect(state, monomial) for monomial in monomials]
     return CountDistribution("photo", tuple(range(n_max + 1)), tuple(probs), cfg)
 
 
@@ -585,7 +583,7 @@ def check_truncation(state: StateSpec, cfg: DetectorConfig, n_max: int) -> None:
         binomial = np.where(lost >= 0, np.exp(logs), 0.0)
         bound = float(state.probabilities() @ (binomial @ dark))
     else:
-        stack = CoherentStack([state])
+        stack = state.stack
         y = cfg.gamma_rate * stack.x[0, ..., 0] + cfg.dark
         with np.errstate(divide="ignore", under="ignore"):
             logs = (np.log(np.abs(stack.pair[0])) + stack.overlap[0, ..., 0].real - y.real
@@ -601,7 +599,7 @@ def factorial_moment(state: StateSpec, cfg: DetectorConfig, m: int) -> float:
     m = _as_exponent(m)
     if m < 0:
         raise ValueError("moment order must be >= 0")
-    return expect_any(state, NOExpr.monomial(1.0, m, 0.0, cfg.efficiency, 0.0))
+    return states.expect(state, NOExpr.monomial(1.0, m, 0.0, cfg.efficiency, 0.0))
 
 
 def factorial_moment_from_counts(counts: CountDistribution, m: int) -> float:

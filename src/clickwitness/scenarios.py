@@ -25,6 +25,9 @@ RATIO_CRITERIA = ("moment_ratio", "mean_photon_number")
 
 SET_PRESETS = ("integer", "half", "all")
 
+# Grid points of one sweep: the kernels hold every point in memory at once.
+MAX_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class StateInput:
@@ -77,8 +80,7 @@ class StateInput:
         amplitudes = np.repeat(amps[:, None], modes, axis=1)
         if self.kind == "coherent":
             labels = ("coherent",)
-            stack = CoherentStack.from_arrays(np.ones((1, len(grid), 1), dtype=complex),
-                                              amplitudes[:, None])
+            stack = CoherentStack(np.ones((1, len(grid), 1), dtype=complex), amplitudes[:, None])
         else:
             parities = ("even", "odd") if self.parity == "both" else (self.parity,)
             labels = tuple(f"cat_{parity}" for parity in parities)
@@ -98,19 +100,24 @@ class SweepSpec:
     variable: str = "alpha2"
 
     def __post_init__(self):
-        if self.points < 1:
-            raise ValueError("points must be >= 1")
+        if not 1 <= self.points <= MAX_POINTS:
+            raise ValueError(f"points must lie in 1..MAX_POINTS = {MAX_POINTS}, "
+                             f"got {self.points}")
         for name in ("start", "stop"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} = {value} is out of range: "
-                                 "|alpha|^2 must be finite and >= 0")
+            self.check_intensity(getattr(self, name), name)
         if self.scale not in ("log", "linear"):
             raise ValueError("scale must be 'log' or 'linear'")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
             raise ValueError("log grids need positive endpoints")
         if self.variable != "alpha2":
             raise ValueError("only the 'alpha2' sweep variable is supported")
+
+    @staticmethod
+    def check_intensity(value: float, name: str) -> None:
+        """Reject a |alpha|^2 ``value`` that is not finite or is below 0, naming it ``name``."""
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} = {value} is out of range: "
+                             "|alpha|^2 must be finite and >= 0")
 
     def grid(self) -> tuple[float, ...]:
         if self.points == 1:
@@ -197,14 +204,17 @@ def _resolve_sets(scenario: Scenario) -> list[IndexSet]:
 def admit(scenario: Scenario) -> list[IndexSet]:
     """The index sets of ``scenario`` ([] for ratios), once every cap admits it.
 
-    Each cap is checked by the function that holds it.  The float range of
-    the entries is bounded by :func:`~.detectors.fits_range` at the grid's
-    largest |alpha|^2; where that cannot decide, :func:`~.detectors.check_range`
-    checks every entry at every grid point.
+    Each cap is checked by the function that holds it.  A Fock state has
+    one mode, so its ratio scenarios take mode count 1 only.  The float
+    range of the entries is bounded by :func:`~.detectors.fits_range` at
+    the grid's largest |alpha|^2; where that cannot decide,
+    :func:`~.detectors.check_range` checks every entry at every grid point.
     """
     if tuple(scenario.criteria) != MATRIX_CRITERIA:
         for modes in scenario.mode_counts:
             check_mode_count(modes)
+            if scenario.state.kind == "fock" and modes > 1:
+                raise ValueError(f"fock states have one mode, got mode count {modes}")
         return []
     cfg = scenario.detector
     isets = _resolve_sets(scenario)

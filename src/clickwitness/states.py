@@ -2,13 +2,18 @@
 
 Two evaluation backends are provided and kept deliberately independent:
 
-* :func:`expect` handles coherent superpositions analytically.  For a
-  normally ordered function ``h`` of the photon-number operator, cross terms
-  between coherent components obey ``<a|:h(n):|b> = <a|b> h(conj(a) b)``, so
-  every expectation reduces to a finite sum over component pairs.
+* the analytic backend handles coherent superpositions.  For a normally
+  ordered function ``h`` of the photon-number operator, cross terms between
+  coherent components obey ``<a|:h(n):|b> = <a|b> h(conj(a) b)``, so every
+  expectation reduces to a finite sum over component pairs.
 * :func:`expect_fock` handles Fock-basis states through the closed form
   ``<n|:n^m exp(-s n):|n> = n!/(n-m)! (1-s)^(n-m)`` and serves as the
   brute-force oracle for the analytic backend.
+
+:func:`expect` is the one entry point for every state: it evaluates
+coherent superpositions and stacks on the analytic backend, hands Fock
+vectors to :func:`expect_fock`, and sums mixtures part by part.  Neither
+backend calls the other.
 
 Both evaluate a :class:`NOExpr`: a sum of terms
 ``coeff * :G^power exp(-decay G):`` with the affine response
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -97,10 +102,14 @@ class CoherentSuperposition:
 
     ``amplitudes[i][m]`` is the coherent amplitude of component i in mode m.
     Normalization sum_ij w_i* w_j <alpha_i|alpha_j> = 1 is enforced to 1e-12.
+    ``stack`` is the state as a one-point :class:`CoherentStack`, built for
+    that check and kept for every kernel call on the state; it takes no
+    part in comparison, hashing or repr.
     """
 
     weights: tuple[complex, ...]
     amplitudes: tuple[tuple[complex, ...], ...]
+    stack: "CoherentStack" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = tuple(complex(w) for w in self.weights)
@@ -112,8 +121,9 @@ class CoherentSuperposition:
             raise ValueError("all components must share the same mode count")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "amplitudes", amps)
-        norm = complex(CoherentStack.from_arrays(np.array([weights]),
-                                                 np.array([amps])).norms()[0])
+        stack = CoherentStack(np.array([weights]), np.array([amps]))
+        object.__setattr__(self, "stack", stack)
+        norm = complex(stack.norms()[0])
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"superposition is not normalized: <psi|psi> = {norm}")
 
@@ -228,7 +238,7 @@ def cat_stack(amplitudes: np.ndarray, parities) -> "CoherentStack":
         sign = 1.0 if parity == "even" else -1.0
         first = np.array([1.0 if p == 0.0 else cat_weight(p, sign) for p in pumped])
         weights.append(np.stack([first, np.where(vacuum, 0.0, sign * first)], axis=1))
-    return CoherentStack.from_arrays(np.array(weights, dtype=complex)[..., :width], components)
+    return CoherentStack(np.array(weights, dtype=complex)[..., :width], components)
 
 
 def cat_weight(pumped: float, sign: float) -> float:
@@ -267,40 +277,17 @@ class CoherentStack:
     (G, C) for a plain stack, or (L, G, C) for L state labels that share
     the amplitudes, such as the cats of both parities.  A state with fewer
     than C components is padded with zero weights, which add exact zeros to
-    every expectation.  The pair arrays that every expectation needs are
-    built once here: ``pair`` = conj(w_i) w_j of shape (..., G, C, C), and
-    per mode ``x`` = conj(a_i) a_j and the overlap exponent ``overlap`` =
-    log <a_i|a_j>, both of shape (G, C, C, modes).  For its lifetime a stack
-    memoizes, as read-only arrays, each per-mode factor of :func:`expect`,
-    keyed by (mode, expression).
+    every expectation.  The arrays are taken as given and nothing is
+    checked here; :meth:`check_normalized` checks every grid point at once.
+    The pair arrays that every expectation needs are built once here:
+    ``pair`` = conj(w_i) w_j of shape (..., G, C, C), and per mode ``x`` =
+    conj(a_i) a_j and the overlap exponent ``overlap`` = log <a_i|a_j>,
+    both of shape (G, C, C, modes).  For its lifetime a stack memoizes, as
+    read-only arrays, each per-mode factor of :func:`expect`, keyed by
+    (mode, expression).
     """
 
-    def __init__(self, states: Sequence[CoherentSuperposition]):
-        if not states:
-            raise ValueError("a stack needs at least one state")
-        modes = states[0].modes
-        if any(state.modes != modes for state in states):
-            raise ValueError("all stacked states must share the mode count")
-        width = max(len(state.weights) for state in states)
-        weights = np.zeros((len(states), width), dtype=complex)
-        amplitudes = np.zeros((len(states), width, modes), dtype=complex)
-        for g, state in enumerate(states):
-            weights[g, :len(state.weights)] = state.weights
-            amplitudes[g, :len(state.weights)] = state.amplitudes
-        self._set(weights, amplitudes)
-
-    @classmethod
-    def from_arrays(cls, weights: np.ndarray, amplitudes: np.ndarray) -> "CoherentStack":
-        """The stack of (..., G, C) ``weights`` and (G, C, modes) ``amplitudes``, as given.
-
-        Nothing is checked here; :meth:`check_normalized` checks every
-        grid point at once.
-        """
-        stack = cls.__new__(cls)
-        stack._set(weights, amplitudes)
-        return stack
-
-    def _set(self, weights: np.ndarray, amplitudes: np.ndarray) -> None:
+    def __init__(self, weights: np.ndarray, amplitudes: np.ndarray):
         self.weights = w = weights
         self.amplitudes = a = amplitudes
         self.pair = w.conj()[..., :, None] * w[..., None, :]
@@ -373,17 +360,17 @@ def pair_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def expect(state, expr):
-    """Expectation of a normally ordered expression on the analytic backend.
+    """Expectation of a normally ordered expression, for every kind of state.
 
-    Supports coherent superpositions and mixtures thereof; Fock-basis states
-    must go through :func:`expect_fock`, which is kept separate as the
-    independent oracle.  For multimode states, ``expr`` is a sequence with
-    one expression per mode and the product over modes is taken.  A
-    :class:`CoherentStack` gives a fresh array of the shape of its leading
-    weight axes, (G,) or (L, G): the per-mode factors, memoized by the stack
-    and multiplied in mode order, depend on the amplitudes only and are
-    shared by every label, whose pair weights are broadcast against them.
-    A single superposition is the one-point stack.
+    A :class:`CoherentStack` is evaluated on the analytic backend and gives
+    a fresh array of the shape of its leading weight axes, (G,) or (L, G):
+    the per-mode factors, memoized by the stack and multiplied in mode
+    order, depend on the amplitudes only and are shared by every label,
+    whose pair weights are broadcast against them.  A single superposition
+    is evaluated as its one-point ``stack``.  A :class:`FockVector` goes to
+    :func:`expect_fock`, and a :class:`Mixture` is the weighted sum of its
+    parts.  For multimode states, ``expr`` is a sequence with one
+    expression per mode and the product over modes is taken.
     """
     if isinstance(state, CoherentStack):
         exprs = _per_mode_exprs(expr, state.modes)
@@ -394,10 +381,10 @@ def expect(state, expr):
     if isinstance(state, Mixture):
         return sum(p * expect(part, expr) for p, part in state.parts)
     if isinstance(state, FockVector):
-        raise TypeError("expect handles coherent superpositions; use expect_fock")
+        return expect_fock(state, _per_mode_exprs(expr, state.modes)[0])
     if not isinstance(state, CoherentSuperposition):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    return float(expect(CoherentStack([state]), expr)[0])
+    return float(expect(state.stack, expr)[0])
 
 
 # --------------------------------------------------------------------------
@@ -442,7 +429,7 @@ def expect_fock(state, expr: NOExpr) -> float:
 
 
 # --------------------------------------------------------------------------
-# conversions and dispatch
+# conversions
 
 
 def to_fock(state: StateSpec, n_max: int | None = None):
@@ -495,12 +482,3 @@ def _tail_bound(state: CoherentSuperposition, limit: int) -> float:
         [math.log(w) - 0.5 * a * a + ns * math.log(a) for w, a in parts], axis=0
     ) - np.array([math.lgamma(n + 1) for n in ns])
     return math.exp(np.logaddexp.reduce(np.append(logs, logs[-1])))
-
-
-def expect_any(state: StateSpec, expr) -> float:
-    """Dispatch to the analytic or Fock backend by state representation."""
-    if isinstance(state, Mixture):
-        return sum(p * expect_any(part, expr) for p, part in state.parts)
-    if isinstance(state, FockVector):
-        return expect_fock(state, expr)
-    return expect(state, expr)

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# states.expect is looked up at each call, so a wrapper set on it sees them
+from . import states
 from .detectors import (
     ONOFF,
     PHOTOELECTRIC,
@@ -39,7 +41,7 @@ from .numerics import (
     min_eigenvalue,
     min_eigenvalues,
 )
-from .states import NOExpr, StateSpec, expect_any
+from .states import NOExpr, StateSpec
 
 # Negativity threshold, relative to the largest matrix entry: matrix scales
 # vary by orders of magnitude across amplitude sweeps.
@@ -348,9 +350,9 @@ def _fill(dim: int, quantities: dict, values: dict) -> np.ndarray:
     return np.stack(columns, axis=-1)[..., index]
 
 
-def _state_entries(states, cfg: DetectorConfig, kind: str, iset: IndexSet,
+def _state_entries(state, cfg: DetectorConfig, kind: str, iset: IndexSet,
                    values: dict) -> np.ndarray:
-    """The ``kind`` matrices of ``states``, (..., d, d).
+    """The ``kind`` matrices of ``state``, one state or a stack, (..., d, d).
 
     ``values`` maps each :func:`entry_quantity` to its values; the missing
     distinct quantities are evaluated and added to it, all POVM exponent
@@ -361,9 +363,9 @@ def _state_entries(states, cfg: DetectorConfig, kind: str, iset: IndexSet,
         iset.elements, lambda a, b: entry_quantity(cfg, kind, a, b))
     missing = [q for q in dict.fromkeys(quantities.values()) if q not in values]
     if cfg.model == PHOTOELECTRIC:
-        values.update((q, expect_any(states, q)) for q in missing)
+        values.update((q, states.expect(state, q)) for q in missing)
     elif missing:
-        values.update(zip(missing, povm_product_value(states, cfg, missing)))
+        values.update(zip(missing, povm_product_value(state, cfg, missing)))
     return _fill(len(iset.elements), quantities, values)
 
 

@@ -5,6 +5,7 @@ import cmath
 import numpy as np
 
 from clickwitness.states import (
+    CoherentStack,
     CoherentSuperposition,
     FockVector,
     Mixture,
@@ -90,3 +91,18 @@ def random_noexpr(rng, max_terms=4, max_power=4, allow_offset=True):
         for _ in range(n_terms)
     )
     return NOExpr(terms, rate, offset)
+
+
+def stack_of(states):
+    """The CoherentStack of hand-made superpositions, one grid point each.
+
+    The stack is as wide as the state with the most components; the others
+    are padded with zero-weight vacuum components.
+    """
+    width = max(len(state.weights) for state in states)
+    weights = np.zeros((len(states), width), dtype=complex)
+    amplitudes = np.zeros((len(states), width, states[0].modes), dtype=complex)
+    for g, state in enumerate(states):
+        weights[g, :len(state.weights)] = state.weights
+        amplitudes[g, :len(state.weights)] = state.amplitudes
+    return CoherentStack(weights, amplitudes)

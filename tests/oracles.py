@@ -260,14 +260,14 @@ def row_povm_values(state, cfg, rows):
     call; the package evaluates every row of a call in one array pass.
     """
     from clickwitness.detectors import _shared_factors
-    from clickwitness.states import CoherentStack, CoherentSuperposition, Mixture, pair_sum
+    from clickwitness.states import CoherentSuperposition, Mixture, pair_sum
 
     levels = 1 if cfg.model == "onoff" else cfg.levels
     if isinstance(state, Mixture):
         parts = [(p, row_povm_values(part, cfg, rows)) for p, part in state.parts]
         return [sum(p * values[q] for p, values in parts) for q in range(len(rows))]
     if isinstance(state, CoherentSuperposition):
-        return [float(v[0]) for v in row_povm_values(CoherentStack([state]), cfg, rows)]
+        return [float(v[0]) for v in row_povm_values(state.stack, cfg, rows)]
     y = cfg.gamma_rate * state.x[..., 0] + cfg.dark
     overlap = state.overlap[..., 0]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -13,6 +13,7 @@ is filtered out of the strategy.
 import contextlib
 import csv
 import io
+import json
 import math
 import re
 import tempfile
@@ -22,18 +23,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clickwitness import detectors, witnesses
+from clickwitness import detectors, multimode, states, witnesses
 from clickwitness.cli import main
 from clickwitness.detectors import DetectorConfig, check_truncation
+from clickwitness.scenarios import MAX_POINTS
 from clickwitness.states import FockVector
 
-# Where the expectation routes are looked up: the sweeps' and witnesses'
-# entries, and the distributions that ``sample`` draws from.
+# Where the expectation routes are looked up: the POVM kernel by the sweeps'
+# and witnesses' entries and by the distributions that ``sample`` draws
+# from; ``expect`` on its module by witnesses and detectors, and by name in
+# multimode, whose moments the ratio runs take.
 KERNELS = (
     (witnesses, "povm_product_value"),
-    (witnesses, "expect_any"),
     (detectors, "povm_product_value"),
-    (detectors, "expect_any"),
+    (states, "expect"),
+    (multimode, "expect"),
 )
 
 FOCK_COEFFS = ("0,1", "0.6,0.8", "0.6,0,0.8", "0,0,0,0.6,0,0,0.8")
@@ -198,9 +202,10 @@ ONE_POINT = ["--start", "100", "--stop", "100", "--points", "1"]
     (["sweep", "--bins", "5", "--stop", "inf"], "stop = inf is out of range: |alpha|^2 must"),
     (["sweep", "--bins", "5", "--scale", "linear", "--start", "-1"],
      "start = -1.0 is out of range: |alpha|^2 must be finite and >= 0"),
-    (["witness", "--bins", "5", "--alpha2", "nan"], "start = nan is out of range"),
+    # the one-point commands name the flag, not the grid's start
+    (["witness", "--bins", "5", "--alpha2", "nan"], "--alpha2 = nan is out of range"),
     (["sample", "--bins", "5", "--alpha2", "nan", "--shots", "10"],
-     "start = nan is out of range"),
+     "--alpha2 = nan is out of range"),
     # set flags without --witness choose nothing
     (["sample", "--model", "onoff", "--bins", "5", "--shots", "10", "--set", "0,1/2"],
      "--set and --sets choose the sets of the empirical witnesses; they need --witness"),
@@ -208,8 +213,18 @@ ONE_POINT = ["--start", "100", "--stop", "100", "--points", "1"]
       "--shots", "10"], "they need --witness"),
     (["sample", "--model", "onoff", "--bins", "5", "--sets", "all", "--shots", "10"],
      "they need --witness"),
+    (["witness", "--bins", "5", "--alpha2", "inf"], "--alpha2 = inf is out of range"),
+    (["sample", "--bins", "5", "--alpha2", "-1", "--shots", "10"],
+     "--alpha2 = -1.0 is out of range: |alpha|^2 must be finite and >= 0"),
+    # the kernels hold every grid point at once
+    (["sweep", "--bins", "5", "--points", str(MAX_POINTS + 1)],
+     f"points must lie in 1..MAX_POINTS = {MAX_POINTS}, got {MAX_POINTS + 1}"),
 ])
 def test_rejected_before_any_kernel_call(argv, message):
+    check_rejected(argv, message)
+
+
+def check_rejected(argv: list, message: str) -> None:
     code, calls, text, outdir = run_counted(argv)
     try:
         assert code == 2
@@ -218,6 +233,41 @@ def test_rejected_before_any_kernel_call(argv, message):
         assert not list(outdir.iterdir())
     finally:
         outdir.rmdir()
+
+
+FOCK_RATIO = {
+    "name": "fock_ratio", "state": {"kind": "fock", "coefficients": [0.6, 0.8]},
+    "criteria": ["moment_ratio", "mean_photon_number"], "cases": ["ii"],
+    "sweep": {"start": 0.1, "stop": 1.0, "points": 3},
+}
+
+
+# with [1, 2], mode count 1 was evaluated before mode count 2 failed
+@pytest.mark.parametrize("mode_counts", [[2], [1, 2]])
+def test_a_fock_ratio_scenario_above_one_mode_is_rejected(mode_counts, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(FOCK_RATIO, mode_counts=mode_counts)))
+    check_rejected(["sweep", "--scenario", str(path)],
+                   "fock states have one mode, got mode count 2")
+
+
+def test_a_one_mode_fock_ratio_scenario_writes_its_rows(tmp_path):
+    # it ended in a TypeError from an expect that took coherent inputs only
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(FOCK_RATIO, mode_counts=[1])))
+    code, calls, text, outdir = run_counted(["sweep", "--scenario", str(path)])
+    rows = {p.name: list(csv.DictReader(p.read_text().splitlines()))
+            for p in sorted(outdir.glob("*.csv"))}
+    for p in outdir.iterdir():
+        p.unlink()
+    outdir.rmdir()
+    assert code == 0 and calls > 0, text
+    ratio = rows["fock_ratio_case_ii_mu1_moment_ratio.csv"]
+    mean = rows["fock_ratio_case_ii_mu1_mean_photon_number.csv"]
+    assert len(ratio) == len(mean) == 3
+    # <:n^2:> = 0 for 0.6|0> + 0.8|1>, so the ratio has no denominator
+    assert {(row["value"], row["verdict"]) for row in ratio} == {("nan", "indeterminate")}
+    assert [float(row["value"]) for row in mean] == pytest.approx([0.64] * 3, rel=1e-15)
 
 
 @pytest.mark.parametrize("argv", [

@@ -35,7 +35,6 @@ from clickwitness.states import (
     cat_stack,
     coherent_state,
     expect,
-    expect_any,
     make_cat,
     to_fock,
 )
@@ -45,6 +44,7 @@ from helpers import (
     random_coherent_mixture,
     random_noexpr,
     random_superposition,
+    stack_of,
 )
 from oracles import (
     LOOP_MOMENTS,
@@ -258,8 +258,8 @@ class TestPnrPovm:
         cfg = DetectorConfig.pnr(4, 1, 0.8)
         povm = pnr_povm(cfg)
         state = make_cat(1.1, "odd")
-        no_click = expect_any(state, povm[0])
-        click = expect_any(state, povm[1])
+        no_click = expect(state, povm[0])
+        click = expect(state, povm[1])
         onoff = DetectorConfig.onoff(4, 0.8)
         assert click == pytest.approx(click_moment(state, onoff, 1), rel=1e-13)
         assert no_click + click == pytest.approx(1.0, rel=1e-13)
@@ -268,8 +268,8 @@ class TestPnrPovm:
         cfg = DetectorConfig.pnr(4, 2, 0.5)
         povm = pnr_povm(cfg)
         state = make_cat(0.9, "even")
-        direct = expect_any(state, povm[2])
-        complement = 1.0 - expect_any(state, povm[0]) - expect_any(state, povm[1])
+        direct = expect(state, povm[2])
+        complement = 1.0 - expect(state, povm[0]) - expect(state, povm[1])
         assert direct == pytest.approx(complement, rel=1e-12, abs=1e-14)
 
     def test_completeness_on_random_states(self):
@@ -278,7 +278,7 @@ class TestPnrPovm:
         povm = pnr_povm(cfg)
         for _ in range(5):
             state = random_coherent_mixture(rng)
-            total = sum(expect_any(state, op) for op in povm)
+            total = sum(expect(state, op) for op in povm)
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -450,7 +450,7 @@ def test_stacked_povm_products_match_each_state():
     rng = np.random.default_rng(67)
     states = [make_cat(0.0, "even"), coherent_state(5.0), random_cat(rng),
               make_cat(0.05, "odd")]
-    stack = CoherentStack(states)
+    stack = stack_of(states)
     for cfg, exponents in (
         (DetectorConfig.onoff(5, 0.6, 0.02), (3, 2)),
         (DetectorConfig.pnr(4, 2, 0.6, 0.02), (1, 1, 2)),
@@ -505,7 +505,7 @@ def test_batched_povm_products_equal_single_calls(cfg):
     rng = np.random.default_rng(71)
     cats = [make_cat(math.sqrt(s), parity)
             for s in (0.02, 0.7, 4.0, 30.0) for parity in ("even", "odd")]
-    stack = CoherentStack(cats + [random_cat(rng, max_abs2=30.0) for _ in range(4)])
+    stack = stack_of(cats + [random_cat(rng, max_abs2=30.0) for _ in range(4)])
     y = np.abs(cfg.gamma_rate * stack.x[..., 0] + cfg.dark)
     assert (y < 1.0).any() and (y > 1.0).any()
     rows = _exponent_rows(cfg)
@@ -548,7 +548,7 @@ def row_kernel_cases(draw):
     states = [makers[i]() for i in draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))]
     form = draw(st.sampled_from(["stack", "single", "mixture"]))
     if form == "stack":
-        state = CoherentStack(states)
+        state = stack_of(states)
     elif form == "single":
         state = states[0]
     else:
@@ -613,8 +613,8 @@ def labelled_cases(draw):
         labels = draw(st.integers(1, 3))
         weights = (rng.normal(size=(labels, points, 2))
                    + 1j * rng.normal(size=(labels, points, 2)))
-        stack = CoherentStack.from_arrays(weights, components)
-        alone = [CoherentStack.from_arrays(w, components) for w in weights]
+        stack = CoherentStack(weights, components)
+        alone = [CoherentStack(w, components) for w in weights]
     exprs = [random_noexpr(rng) for _ in range(modes)]
     other = list(exprs)
     other[draw(st.integers(0, modes - 1))] = random_noexpr(rng)
@@ -646,7 +646,7 @@ def test_labelled_stacks_give_the_bits_of_stacks_built_alone(case):
 
 @pytest.mark.parametrize("build", [
     lambda: make_cat(1.2, "odd"),
-    lambda: CoherentStack([make_cat(0.4, "even"), make_cat(1.9, "odd")]),
+    lambda: stack_of([make_cat(0.4, "even"), make_cat(1.9, "odd")]),
     lambda: StateInput("cat", parity="odd").stack((0.1, 2.0, 5.0))[1],
     lambda: StateInput("coherent").stack((0.1, 2.0))[1],
     lambda: StateInput("cat", parity="both").stack((0.1, 2.0, 5.0))[1],
@@ -655,7 +655,7 @@ def test_a_stack_without_siblings_keeps_no_product(build):
     # a kernel call keeps nothing on its stack, which holds the weights of
     # every label: the only memo left is expect's per-mode factors
     state = build()
-    stack = state if isinstance(state, CoherentStack) else CoherentStack([state])
+    stack = state if isinstance(state, CoherentStack) else state.stack
     before = dict(vars(stack))
     for cfg in (DetectorConfig.onoff(5, 0.5), DetectorConfig.pnr(4, 2, 0.5, 0.02)):
         values = povm_product_value(stack, cfg, _exponent_rows(cfg))
@@ -687,7 +687,7 @@ def test_row_powers_keep_the_bits_of_one_row_at_a_time():
 def test_the_first_failing_row_is_reported():
     # at |alpha|^2 = 1500 the rows (0, 2), (0, 3) and (1, 2) overflow, each
     # next to a different finite value at |alpha|^2 = 1
-    stack = CoherentStack([make_cat(1.0, "odd"), make_cat(math.sqrt(1500.0), "odd")])
+    stack = stack_of([make_cat(1.0, "odd"), make_cat(math.sqrt(1500.0), "odd")])
     cfg = DetectorConfig.onoff(3, 1.0)
     messages = {}
     for row in ((0, 3), (0, 2), (1, 2)):
@@ -847,7 +847,7 @@ class TestNumberRoute:
     @pytest.mark.parametrize("state", [
         make_cat(1.0, "odd"),
         coherent_state(0.5),
-        CoherentStack([make_cat(1.0, "odd"), coherent_state(0.5)]),
+        stack_of([make_cat(1.0, "odd"), coherent_state(0.5)]),
     ], ids=["cat", "coherent", "stack"])
     def test_coherent_inputs_reject_rows_beyond_n_too(self, state):
         with pytest.raises(ValueError, match="at most N=4 bins"):

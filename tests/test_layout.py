@@ -132,6 +132,7 @@ CAPS = {
     "MAX_DIM": "numerics",
     "MAX_EXACT_N": "numerics",
     "MAX_MODES": "multimode",
+    "MAX_POINTS": "scenarios",
     "MAX_LEVELS": "witnesses",
     "MIN_RESAMPLES": "sampler",
     "_MAX_SHOTS": "sampler",

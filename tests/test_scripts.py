@@ -40,3 +40,20 @@ def test_sampling_experiment_reports_each_seed(tmp_path):
     assert len(seeds) == 5
     assert all("shots=     2000" in line and "verdict=" in line for line in seeds)
     assert "conclusive" in lines[-1]
+
+
+def test_output_hashes_lists_the_same_files_from_any_directory(tmp_path):
+    listings = []
+    for name in ("a", "nested/b"):
+        result = run_script("output_hashes.py", str(tmp_path / name), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        listings.append(result.stdout)
+    assert listings[0] == listings[1]
+    header, *lines = listings[0].splitlines()
+    assert header.startswith("# python ") and " numpy " in header and " blas " in header
+    paths = [line.split("  ", 1)[1] for line in lines]
+    assert paths == sorted(paths)
+    assert {path.split("/")[0] for path in paths} == {"figures", "sweeps", "witness", "sample"}
+    # the paths the commands printed are relative to the output directory
+    printed = (tmp_path / "a" / "sweeps" / "onoff31.stdout").read_text().splitlines()
+    assert printed and all(line.startswith("sweeps/onoff31/") for line in printed)

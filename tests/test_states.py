@@ -14,7 +14,6 @@ from clickwitness.states import (
     cat_weight,
     coherent_state,
     expect,
-    expect_any,
     expect_fock,
     make_cat,
     pair_sum,
@@ -26,6 +25,7 @@ from helpers import (
     random_fock_vector,
     random_noexpr,
     random_superposition,
+    stack_of,
 )
 from oracles import (
     expect_fock_product,
@@ -146,8 +146,17 @@ class TestExpect:
             )
 
     def test_fock_input_redirected(self):
-        with pytest.raises(TypeError):
-            expect(FockVector((1.0,)), number_power(1))
+        # a Fock vector gives the bits of expect_fock, its one expression
+        # passed alone or as a sequence; a Fock/coherent mixture gives the
+        # bits of the weighted sum of its parts
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            fock, coherent = random_fock_vector(rng), random_superposition(rng)
+            expr = random_noexpr(rng)
+            want = expect_fock(fock, expr)
+            assert expect(fock, expr).hex() == expect(fock, [expr]).hex() == want.hex()
+            mix = Mixture(((0.25, fock), (0.75, coherent)))
+            assert expect(mix, expr).hex() == (0.25 * want + 0.75 * expect(coherent, expr)).hex()
 
     def test_mixture_linearity(self):
         a = coherent_state(0.5)
@@ -275,7 +284,7 @@ class TestCoherentStack:
     def test_stack_matches_each_state(self):
         rng = np.random.default_rng(8)
         states = self.states(rng)
-        stack = CoherentStack(states)
+        stack = stack_of(states)
         for _ in range(5):
             expr = random_noexpr(rng)
             got = expect(stack, expr)
@@ -283,9 +292,18 @@ class TestCoherentStack:
             for value, state in zip(got, states):
                 assert value == pytest.approx(expect(state, expr), rel=1e-14, abs=1e-15)
 
-    def test_mixed_mode_counts_rejected(self):
-        with pytest.raises(ValueError):
-            CoherentStack([coherent_state(1.0), coherent_state(1.0, modes=2)])
+    def test_a_superposition_keeps_its_one_point_stack(self):
+        rng = np.random.default_rng(9)
+        cat = make_cat(1.3, "odd")
+        assert cat.stack.weights.shape == (1, 2) and cat.stack.amplitudes.shape == (1, 2, 1)
+        # the stack takes no part in comparison, hashing or repr
+        twin = make_cat(1.3, "odd")
+        assert cat == twin and hash(cat) == hash(twin) and cat.stack is not twin.stack
+        assert "stack" not in repr(cat)
+        expr = random_noexpr(rng)
+        assert expect(cat, expr) == float(expect(stack_of([cat]), expr)[0])
+        # expect evaluated the state on the stack it keeps
+        assert list(cat.stack._factors) == [(0, expr)]
 
     @pytest.mark.parametrize("modes", [1, 3])
     def test_memoized_factors_are_read_only_and_fresh(self, modes):
@@ -299,10 +317,10 @@ class TestCoherentStack:
             (exprs[0], exprs[1], exprs[2]), (exprs[1], exprs[0], exprs[2]),
             (exprs[2], exprs[2], exprs[0]), (exprs[0], exprs[2], exprs[1]),
             (exprs[0], exprs[1], exprs[2])]
-        stack = CoherentStack(states)
+        stack = stack_of(states)
         for expr in calls:
             got = expect(stack, expr)
-            want = expect(CoherentStack(states), expr)
+            want = expect(stack_of(states), expr)
             assert got.tobytes() == want.tobytes()
             # an expectation is a fresh array of its own
             assert got.flags.writeable and expect(stack, expr) is not got
@@ -328,7 +346,7 @@ class TestArrayStacks:
     def per_point(state_input, grid, modes):
         states = [state_input.build(alpha2, modes) for alpha2 in grid]
         return [
-            (label, CoherentStack([point[k][1] for point in states]))
+            (label, stack_of([point[k][1] for point in states]))
             for k, (label, _) in enumerate(states[0])
         ]
 
@@ -389,11 +407,11 @@ class TestArrayStacks:
 
     def test_check_normalized_names_the_first_bad_point(self):
         weights = np.array([[1.0], [1.0 + 2e-12], [2.0]], dtype=complex)
-        stack = CoherentStack.from_arrays(weights, np.zeros((3, 1, 1), dtype=complex))
+        stack = CoherentStack(weights, np.zeros((3, 1, 1), dtype=complex))
         with pytest.raises(ValueError, match=r"at 'b' is not normalized"):
             stack.check_normalized(["a", "b", "c"])
-        stack = CoherentStack.from_arrays(weights[:1] * (1.0 + 4e-13),
-                                          np.zeros((1, 1, 1), dtype=complex))
+        stack = CoherentStack(weights[:1] * (1.0 + 4e-13),
+                              np.zeros((1, 1, 1), dtype=complex))
         stack.check_normalized(["a"])
 
     def test_odd_cat_at_tiny_amplitude_is_normalized(self):
@@ -403,7 +421,7 @@ class TestArrayStacks:
         labels, stack = StateInput("cat", parity="odd").stack(grid)
         assert labels == ("cat_odd",) and stack.weights.shape[:2] == (1, len(grid))
         stack.check_normalized(grid)
-        off = CoherentStack.from_arrays(stack.weights * scale, stack.amplitudes)
+        off = CoherentStack(stack.weights * scale, stack.amplitudes)
         with pytest.raises(ValueError, match=r"at 1e-10 is not normalized"):
             off.check_normalized(grid)
         # labelled: only the odd label is off, so only its norm can raise
@@ -412,7 +430,7 @@ class TestArrayStacks:
         stack.check_normalized(grid)
         weights = stack.weights.copy()
         weights[1] *= scale
-        off = CoherentStack.from_arrays(weights, stack.amplitudes)
+        off = CoherentStack(weights, stack.amplitudes)
         assert np.abs(off.norms()[0] - 1.0).max() <= 1e-12
         with pytest.raises(ValueError, match=r"at 1e-10 is not normalized"):
             off.check_normalized(grid)
@@ -514,11 +532,12 @@ class TestParitySupport:
 
 
 def test_expect_any_dispatch():
+    # expect takes any state: coherent, Fock, or a mixture of both
     expr = number_power(1)
-    assert expect_any(coherent_state(2.0), expr) == pytest.approx(4.0, rel=1e-13)
-    assert expect_any(FockVector((0.0, 1.0)), expr) == pytest.approx(1.0)
+    assert expect(coherent_state(2.0), expr) == pytest.approx(4.0, rel=1e-13)
+    assert expect(FockVector((0.0, 1.0)), expr) == pytest.approx(1.0)
     mixed = Mixture(((0.5, to_fock(make_cat(1.0, "even"))), (0.5, coherent_state(1.0))))
-    value = expect_any(mixed, expr)
+    value = expect(mixed, expr)
     assert value == pytest.approx(
         0.5 * math.tanh(1.0) + 0.5 * 1.0, rel=1e-12
     )

@@ -12,7 +12,7 @@ from clickwitness.detectors import (
     pnr_distribution,
 )
 from clickwitness.numerics import HalfInt
-from clickwitness.states import CoherentStack, FockVector, coherent_state, make_cat
+from clickwitness.states import FockVector, coherent_state, make_cat
 from clickwitness.witnesses import (
     _fill,
     _pair_quantities,
@@ -38,7 +38,7 @@ from clickwitness.witnesses import (
     qb_parameter,
     skewness_witness,
 )
-from helpers import random_cat, random_coherent, random_coherent_mixture
+from helpers import random_cat, random_coherent, random_coherent_mixture, stack_of
 from oracles import _pair_sum as half_int_pair_sum
 from oracles import (
     loop_fill,
@@ -273,8 +273,8 @@ class TestFill:
 
         def matrices():
             out = []
-            stack = CoherentStack([make_cat(math.sqrt(s), parity)
-                                   for s in (0.05, 0.7, 3.0) for parity in ("even", "odd")])
+            stack = stack_of([make_cat(math.sqrt(s), parity)
+                             for s in (0.05, 0.7, 3.0) for parity in ("even", "odd")])
             for cfg in (DetectorConfig.onoff(8, 0.5), DetectorConfig.pnr(4, 2, 0.5),
                         DetectorConfig.photoelectric(0.5)):
                 for iset in enumerate_index_sets(cfg):
@@ -664,9 +664,9 @@ def test_wide_onoff_sweep_evaluates_tail_series_once_per_kernel_call(monkeypatch
     monkeypatch.setattr(detectors, "_tail_series", counted_tail)
     monkeypatch.setattr(witnesses, "povm_product_value", counted_kernel)
     cfg = DetectorConfig.onoff(31, 0.5)
-    stack = CoherentStack([make_cat(math.sqrt(s), parity)
-                           for s in np.logspace(-2, 1.5, 10)
-                           for parity in ("even", "odd")])
+    stack = stack_of([make_cat(math.sqrt(s), parity)
+                     for s in np.logspace(-2, 1.5, 10)
+                     for parity in ("even", "odd")])
     values = {}
     for iset in enumerate_index_sets(cfg):
         for kind in ("counts", "moments"):
