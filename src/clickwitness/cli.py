@@ -36,10 +36,11 @@ from .detectors import (
     PNR,
     check_truncation,
     click_distribution,
+    outcome_count,
     photo_distribution,
     pnr_distribution,
 )
-from .multimode import MultiIndex, mean_total_photons, ratio_criterion
+from .multimode import mean_total_photons, ratio_criterion
 from .sampler import check_resamples, check_shots, empirical_witness, sample, write_histogram
 from .scenarios import (
     MATRIX_CRITERIA,
@@ -48,6 +49,7 @@ from .scenarios import (
     StateInput,
     SweepSpec,
     admit,
+    case_indices,
     presets,
     scenario_from_json,
 )
@@ -119,19 +121,6 @@ def _matrix_blocks(scenario: Scenario, isets: list[IndexSet]) -> Blocks:
     return blocks
 
 
-def _case_indices(case: str, modes: int) -> tuple[MultiIndex, MultiIndex]:
-    """Canonical exponent pair realizing a class/parity case in ``modes`` modes."""
-    zeros = [0] * (modes - 1)
-    table = {
-        "i": ([0] + zeros, [2] + zeros),
-        "ii": ([0] + zeros, [1] + zeros),
-        "iii": (["1/2"] + zeros, ["3/2"] + zeros),
-        "iv": (["1/2"] + zeros, ["5/2"] + zeros),
-    }
-    n_raw, m_raw = table[case]
-    return MultiIndex.of(n_raw), MultiIndex.of(m_raw)
-
-
 def _ratio_blocks(scenario: Scenario) -> Blocks:
     grid = scenario.sweep.grid()
     blocks: Blocks = {}
@@ -140,7 +129,7 @@ def _ratio_blocks(scenario: Scenario) -> Blocks:
         labels, states = scenario.state.stack(grid, modes=mu)
         mean_n = mean_total_photons(states)
         for case in scenario.cases:
-            n_idx, m_idx = _case_indices(case, mu)
+            n_idx, m_idx = case_indices(case, mu)
             set_id = f"case_{case}_mu{mu}"
             result = ratio_criterion(states, n_idx, m_idx)
             _add_rows(blocks, (set_id, "moment_ratio"), shared, labels, grid,
@@ -375,7 +364,7 @@ def _cmd_sample(args) -> int:
     cfg = scenario.detector
     shots = check_shots(args.shots)
     if args.witness:
-        check_resamples(args.resamples)
+        check_resamples(args.resamples, outcome_count(cfg, args.n_max))
     isets = admit(scenario) if args.witness else []
     (state_label, state), = state_input.build(args.alpha2)
     if cfg.model == PHOTOELECTRIC:

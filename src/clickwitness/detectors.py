@@ -676,16 +676,28 @@ def pnr_outcomes(bins: int, levels: int):
     return list(rec(bins, levels + 1))
 
 
+def outcome_count(cfg: DetectorConfig, n_max: int = 60) -> int:
+    """The size of the model's outcome space: n_max + 1 photocounts, N + 1 click
+    numbers, or C(N+K, K) multinomial splits, of which at most ``_MAX_OUTCOMES``."""
+    if cfg.model == PHOTOELECTRIC:
+        check_order(n_max, "n_max")
+        return n_max + 1
+    if cfg.model == ONOFF:
+        return cfg.bins + 1
+    n_outcomes = math.comb(cfg.bins + cfg.levels, cfg.levels)
+    if n_outcomes > _MAX_OUTCOMES:
+        raise ValueError(
+            f"outcome space of size {n_outcomes} exceeds the {_MAX_OUTCOMES} guard"
+        )
+    return n_outcomes
+
+
 def pnr_distribution(state: StateSpec, cfg: DetectorConfig) -> CountDistribution:
     """Multinomial outcome distribution c_{N_0, ..., N_K} over all bin splits."""
     if cfg.model != PNR:
         raise ValueError("pnr_distribution needs a pnr config")
     bins, levels = cfg.bins, cfg.levels
-    n_outcomes = math.comb(bins + levels, levels)
-    if n_outcomes > _MAX_OUTCOMES:
-        raise ValueError(
-            f"outcome space of size {n_outcomes} exceeds the {_MAX_OUTCOMES} guard"
-        )
+    outcome_count(cfg)
     outcomes = pnr_outcomes(bins, levels)
     check_range(state, cfg, outcomes)
     values = povm_product_value(state, cfg, outcomes)

@@ -193,11 +193,12 @@ def _ratio_result(numer, denom, case: str, divergent: bool) -> RatioResult:
 
     A vanishing denominator gives a NaN ratio and no verdict, except that
     with ``divergent`` a nonzero numerator over it gives +inf, "divergent".
+    Any other NaN ratio, such as inf / inf, has no verdict either.
     """
     zero = np.equal(denom, 0.0)
     ratio = np.where(zero, math.nan, numer / np.where(zero, 1.0, denom))
     verdict = np.where(
-        zero, INDETERMINATE,
+        np.isnan(ratio), INDETERMINATE,
         np.where(ratio > 1.0 + 1e-10, NONCLASSICAL, NO_VIOLATION),
     )
     if divergent:

@@ -56,9 +56,11 @@ point estimate is stacked as row 0 above the redraws and all are evaluated
 in one array pass: a (1+R, outcomes) probability array gives a (1+R, d, d)
 stack of matrices and one eigensolver call, with the same bits per row as a
 matrix built alone.  Only the point estimate's report carries leading
-minors; no redraw computes them.  The standard error of min_eig is one
-``np.std`` over the redraws' min_eig values.  numpy does not promise the
-multinomial stream across versions; a golden-value test pins it.
+minors; no redraw computes them.  The Klyshko ratios of a click histogram
+are read from the same rows' outcome columns.  Each scalar's standard
+error is one ``np.std`` over the redraws where it resolved.  numpy does
+not promise the multinomial stream across versions; a golden-value test
+pins it.
 """
 
 from __future__ import annotations
@@ -73,11 +75,9 @@ from pathlib import Path
 import numpy as np
 
 from .detectors import CountDistribution, DetectorConfig
-from .numerics import min_eigenvalues
+from .numerics import MAX_DIM, min_eigenvalues
 from .witnesses import (
-    HALF,
     INDETERMINATE,
-    INTEGER,
     KLYSHKO_OUTCOMES,
     NONCLASSICAL,
     NO_VIOLATION,
@@ -90,7 +90,6 @@ from .witnesses import (
     count_matrix_from_counts,  # noqa: F401
     counts_report,
     from_counts_entries,
-    klyshko_ratio,
     klyshko_value,
     moment_matrix_from_counts,  # noqa: F401
 )
@@ -116,6 +115,11 @@ _HIGH_WORD = 1 if sys.byteorder == "little" else 0
 DEFAULT_RESAMPLES = 200
 # The bootstrap's standard error needs at least this many redraws.
 MIN_RESAMPLES = 2
+# Cells of the bootstrap's arrays, resamples x max(outcomes, MAX_DIM^2): each
+# redraw holds a row of outcome probabilities and a matrix of at most
+# MAX_DIM^2 entries.  The default 200 resamples stay admitted up to the
+# 100 000 outcomes of the largest pnr space.
+MAX_BOOTSTRAP_CELLS = 20_000_000
 
 
 def _mix_rounds(z: np.ndarray, tmp: np.ndarray) -> None:
@@ -282,9 +286,16 @@ def check_shots(shots: int) -> int:
     return shots
 
 
-def check_resamples(resamples: int) -> None:
+def check_resamples(resamples: int, outcomes: int) -> None:
+    """Reject fewer than ``MIN_RESAMPLES`` resamples, and more than the bootstrap's
+    arrays hold for a histogram of ``outcomes`` outcomes."""
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"need at least {MIN_RESAMPLES} bootstrap resamples")
+    cells = resamples * max(outcomes, MAX_DIM ** 2)
+    if cells > MAX_BOOTSTRAP_CELLS:
+        raise ValueError(f"{resamples} resamples of {outcomes} outcomes need {cells} "
+                         f"bootstrap cells, resamples x max(outcomes, MAX_DIM^2 = "
+                         f"{MAX_DIM ** 2}), above MAX_BOOTSTRAP_CELLS = {MAX_BOOTSTRAP_CELLS}")
 
 
 def sample(dist: CountDistribution, shots: int, seed: int) -> SampleRun:
@@ -339,29 +350,14 @@ class EmpiricalWitness:
     # reliably once |min_eig| clears a few standard errors.
 
 
-def _klyshko_scalars(counts: CountDistribution) -> dict:
-    scalars = {}
-    bins = counts.config.bins
-    for variant, needs in ((INTEGER, 2), (HALF, 3)):
-        if bins >= needs:
-            result = klyshko_ratio(counts, variant)
-            if result.verdict != INDETERMINATE:
-                scalars[f"klyshko_{variant}"] = result.ratio
-    return scalars
-
-
-def _klyshko_redraws(counts: CountDistribution, probs: np.ndarray, keys) -> dict:
-    """Each Klyshko scalar of every redraw row whose denominator is nonzero."""
+def _klyshko_redraws(counts: CountDistribution, rows: np.ndarray) -> dict:
+    """Each Klyshko ratio of every row of ``rows``, NaN where its denominator vanishes."""
     index = {outcome: k for k, outcome in enumerate(counts.outcomes)}
-    absent = [0.0] * len(probs)
+    absent = [0.0] * len(rows)
     series = {}
-    for key in keys:
-        columns = [
-            probs[:, index[k]].tolist() if k in index else absent
-            for k in KLYSHKO_OUTCOMES[key.removeprefix("klyshko_")]
-        ]
-        ratios = (klyshko_value(*row) for row in zip(*columns))
-        series[key] = [ratio for ratio in ratios if not math.isnan(ratio)]
+    for variant, outcomes in KLYSHKO_OUTCOMES.items():
+        columns = [rows[:, index[k]].tolist() if k in index else absent for k in outcomes]
+        series[f"klyshko_{variant}"] = np.array([klyshko_value(*row) for row in zip(*columns)])
     return series
 
 
@@ -373,37 +369,35 @@ def empirical_witness(run: SampleRun, cfg: DetectorConfig, iset: IndexSet,
     ``kind`` is "counts" or "moments".  Bootstrap: ``resamples``
     multinomial redraws of the histogram, drawn by one
     ``Generator.multinomial(..., size=resamples)`` call (the same stream as
-    that many single redraws) and evaluated together as a stack of
-    matrices, with the same arithmetic as the point estimate.  Klyshko
-    ratios whose denominators vanish in a redraw (empty outcome classes)
-    are skipped for that redraw; a scalar resolved fewer than twice gets a
-    NaN standard error.
+    that many single redraws) and stacked below the point estimate as the
+    rows of one probability array.  Each scalar, min_eig and the Klyshko
+    ratios, is evaluated on every row, row 0 giving its value.  A Klyshko
+    ratio whose denominator vanishes in a row (an empty outcome class) is
+    unresolved there; it has no value when row 0 is, and a NaN standard
+    error when fewer than two redraws resolve it.
     """
     if run.source.config != cfg:
         raise ValueError("run outcome space does not match the detector config")
-    check_resamples(resamples)
+    check_resamples(resamples, len(run.counts))
     check_admissible(iset, cfg, kind)
     empirical = run.empirical()
     rng = np.random.Generator(np.random.PCG64(derive_seed(run.seed)))
     weights = np.array(run.counts, dtype=float) / run.shots
     probs = rng.multinomial(run.shots, weights, size=resamples) / run.shots
     # Row 0 is the point estimate, rows 1.. the redraws.
-    entries = from_counts_entries(empirical, np.vstack([weights, probs]), iset, kind)
-    min_eigs = min_eigenvalues(entries)
-    report = counts_report(empirical, iset, kind, entries[0], min_eigs[0])
-    values = {"min_eig": report.min_eig}
+    rows = np.vstack([weights, probs])
+    entries = from_counts_entries(empirical, rows, iset, kind)
+    series = {"min_eig": min_eigenvalues(entries)}
     if empirical.kind == "click" and empirical.config.bins >= 3:
-        values.update(_klyshko_scalars(empirical))
-
-    stderrs = {"min_eig": float(np.std(min_eigs[1:], ddof=1))}
-    redraws = _klyshko_redraws(
-        empirical, probs, [key for key in values if key.startswith("klyshko_")]
-    )
-    for key, series in redraws.items():
-        if len(series) >= 2:
-            stderrs[key] = float(np.std(np.array(series), ddof=1))
-        else:
-            stderrs[key] = math.nan
+        series.update(_klyshko_redraws(empirical, rows))
+    report = counts_report(empirical, iset, kind, entries[0], series["min_eig"][0])
+    values, stderrs = {}, {}
+    for key, column in series.items():
+        if math.isnan(column[0]):
+            continue
+        resolved = column[1:][~np.isnan(column[1:])]
+        values[key] = float(column[0])
+        stderrs[key] = float(np.std(resolved, ddof=1)) if len(resolved) >= 2 else math.nan
 
     min_eig = values["min_eig"]
     err = stderrs["min_eig"]

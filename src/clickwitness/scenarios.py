@@ -15,10 +15,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detectors import PNR, DetectorConfig, check_range, fits_range
-from .multimode import check_mode_count
+from .multimode import MultiIndex, check_mode_count
 from .numerics import HalfInt
-from .states import CoherentStack, FockVector, StateSpec, cat_stack
-from .witnesses import IndexSet, check_admissible, entry_quantity, enumerate_index_sets
+from .states import CoherentStack, FockVector, NOExpr, StateSpec, cat_stack
+from .witnesses import (
+    MAX_LEVELS,
+    IndexSet,
+    check_admissible,
+    check_levels,
+    check_pnr_dimension,
+    entry_quantity,
+    enumerate_index_sets,
+)
 
 MATRIX_CRITERIA = ("min_eig",)
 RATIO_CRITERIA = ("moment_ratio", "mean_photon_number")
@@ -27,6 +35,10 @@ SET_PRESETS = ("integer", "half", "all")
 
 # Grid points of one sweep: the kernels hold every point in memory at once.
 MAX_POINTS = 10_000
+
+# Index sets of one scenario, as many as the largest preset selects: each
+# set's matrices hold every grid point at once.
+MAX_SETS = 2 ** MAX_LEVELS
 
 
 @dataclass(frozen=True)
@@ -192,13 +204,30 @@ class Scenario:
 def _resolve_sets(scenario: Scenario) -> list[IndexSet]:
     cfg = scenario.detector
     if not isinstance(scenario.sets, str):
+        if len(scenario.sets) > MAX_SETS:
+            raise ValueError(f"a scenario selects at most MAX_SETS = {MAX_SETS} index sets, "
+                             f"got {len(scenario.sets)}")
         return [IndexSet(tuple(elements), label) for label, elements in scenario.sets]
-    sets = enumerate_index_sets(cfg)
-    if scenario.sets == "all":
-        return [s for s in sets if s.elements]
     if cfg.model == PNR:
-        raise ValueError("the multinomial model needs sets='all' or explicit sets")
-    return [s for s in sets if s.label == scenario.sets]
+        check_levels(cfg)
+        if scenario.sets != "all":
+            raise ValueError("the multinomial model needs sets='all' or explicit sets")
+        check_pnr_dimension(cfg)
+    return [s for s in enumerate_index_sets(cfg)
+            if s.elements and scenario.sets in ("all", s.label)]
+
+
+def case_indices(case: str, modes: int) -> tuple[MultiIndex, MultiIndex]:
+    """Canonical exponent pair realizing a class/parity case in ``modes`` modes."""
+    zeros = [0] * (modes - 1)
+    table = {
+        "i": ([0] + zeros, [2] + zeros),
+        "ii": ([0] + zeros, [1] + zeros),
+        "iii": (["1/2"] + zeros, ["3/2"] + zeros),
+        "iv": (["1/2"] + zeros, ["5/2"] + zeros),
+    }
+    n_raw, m_raw = table[case]
+    return MultiIndex.of(n_raw), MultiIndex.of(m_raw)
 
 
 def admit(scenario: Scenario) -> list[IndexSet]:
@@ -206,15 +235,28 @@ def admit(scenario: Scenario) -> list[IndexSet]:
 
     Each cap is checked by the function that holds it.  A Fock state has
     one mode, so its ratio scenarios take mode count 1 only.  The float
-    range of the entries is bounded by :func:`~.detectors.fits_range` at
-    the grid's largest |alpha|^2; where that cannot decide,
-    :func:`~.detectors.check_range` checks every entry at every grid point.
+    range of the entries, or of the ratios' moments, is bounded by
+    :func:`~.detectors.fits_range` at the grid's largest |alpha|^2; where
+    that cannot decide, :func:`~.detectors.check_range` checks every entry
+    at every grid point.
     """
+    grid, state = scenario.sweep.grid(), scenario.state
+    top = len(state.coefficients) - 1 if state.kind == "fock" else max(grid)
     if tuple(scenario.criteria) != MATRIX_CRITERIA:
         for modes in scenario.mode_counts:
             check_mode_count(modes)
-            if scenario.state.kind == "fock" and modes > 1:
+            if state.kind == "fock" and modes > 1:
                 raise ValueError(f"fock states have one mode, got mode count {modes}")
+        # A case (n, m) squares a moment of order |n+m| and multiplies two of
+        # orders 2|n| and 2|m|: all stay floats where the ideal moment of
+        # order 2|n+m| does, in the first mode of each mode count.
+        pairs = (case_indices(case, 1) for case in scenario.cases)
+        order = max((n + m).total().twice for n, m in pairs)
+        ideal = DetectorConfig.photoelectric()
+        if not fits_range(ideal, order, top):
+            moment = NOExpr.monomial(1.0, order, 0.0, 1.0)
+            for modes in scenario.mode_counts:
+                check_range(state.stack(grid, modes)[1], ideal, [moment])
         return []
     cfg = scenario.detector
     isets = _resolve_sets(scenario)
@@ -223,8 +265,6 @@ def admit(scenario: Scenario) -> list[IndexSet]:
     for iset in isets:
         for kind in scenario.kinds:
             check_admissible(iset, cfg, kind)
-    grid, state = scenario.sweep.grid(), scenario.state
-    top = len(state.coefficients) - 1 if state.kind == "fock" else max(grid)
     order = cfg.bins or max(e.twice for iset in isets for e in iset.elements)
     if not fits_range(cfg, order, top):
         quantities = list(dict.fromkeys(

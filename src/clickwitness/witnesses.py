@@ -134,10 +134,20 @@ def _half_range(cap_twice: int, start_twice: int) -> list[HalfInt]:
     return [HalfInt(t) for t in range(start_twice, cap_twice + 1, 2)]
 
 
-def _check_levels(cfg: DetectorConfig) -> None:
+def check_levels(cfg: DetectorConfig) -> None:
     if cfg.levels > MAX_LEVELS:
         raise ValueError(f"index-set enumeration is capped at MAX_LEVELS = {MAX_LEVELS}, "
                          f"got levels={cfg.levels}")
+
+
+def check_pnr_dimension(cfg: DetectorConfig) -> None:
+    """Reject a pnr config whose enumerated sets exceed ``MAX_DIM``, before they are listed.
+
+    The all-integer pattern is the largest: its elements are the splits of at
+    most floor(N/2) over the first K slots, C(floor(N/2)+K, K) of them.
+    """
+    label = "-".join(["int"] * cfg.levels + ["half" if cfg.bins % 2 else "int"])
+    check_dimension(math.comb(cfg.bins // 2 + cfg.levels, cfg.levels), f"index set {label!r}")
 
 
 def _doubled_indices(parities, budget_twice: int):
@@ -169,7 +179,7 @@ def enumerate_index_sets(cfg: DetectorConfig,
         return [IndexSet(tuple(integers), INTEGER), IndexSet(tuple(halves), HALF)]
     if cfg.model != PNR:
         raise ValueError(f"unknown detector model {cfg.model!r}")
-    _check_levels(cfg)
+    check_levels(cfg)
     bins, levels = cfg.bins, cfg.levels
     sets = []
     for pattern_bits in range(2 ** levels):
@@ -192,7 +202,7 @@ def enumerate_pnr_moment_sets(cfg: DetectorConfig) -> list[IndexSet]:
     """
     if cfg.model != PNR:
         raise ValueError("enumerate_pnr_moment_sets needs a pnr config")
-    _check_levels(cfg)
+    check_levels(cfg)
     sets = []
     for pattern_bits in range(2 ** (cfg.levels + 1)):
         bits = [(pattern_bits >> j) & 1 for j in range(cfg.levels + 1)]

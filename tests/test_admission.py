@@ -23,10 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clickwitness import detectors, multimode, states, witnesses
+from clickwitness import detectors, multimode, scenarios, states, witnesses
 from clickwitness.cli import main
 from clickwitness.detectors import DetectorConfig, check_truncation
-from clickwitness.scenarios import MAX_POINTS
+from clickwitness.scenarios import MAX_POINTS, MAX_SETS
 from clickwitness.states import FockVector
 
 # Where the expectation routes are looked up: the POVM kernel by the sweeps'
@@ -74,14 +74,15 @@ def written_values(command: str, text: str, outdir: Path) -> list[float]:
     return values + [float(v) for v in re.findall(r"(?:min_eig|stderr)=(\S+)", text)]
 
 
-def check_admission(argv: list) -> None:
+def check_admission(argv: list, admitted: bool = False) -> None:
+    """Finite values, or (unless ``admitted``) exit 2 before any kernel call."""
     code, calls, text, outdir = run_counted(argv)
     try:
         if code == 0:
             values = written_values(argv[0], text, outdir)
             assert values and all(map(math.isfinite, values)), text
         else:
-            assert code == 2, text
+            assert code == 2 and not admitted, text
             assert calls == 0, f"rejected after {calls} kernel calls: {text}"
     finally:
         for path in sorted(outdir.rglob("*"), reverse=True):
@@ -161,6 +162,12 @@ def test_admitted_configurations_evaluate_to_finite_values(argv):
 CAT = ["--state", "cat", "--parity", "odd", "--efficiency", "1"]
 PHOTO = ["--model", "photoelectric", "--state", "coherent"]
 ONE_POINT = ["--start", "100", "--stop", "100", "--points", "1"]
+ONOFF5_SETS = ["--model", "onoff", "--bins", "5", *["--set", "0,1"] * MAX_SETS]
+SETS_MESSAGE = f"a scenario selects at most MAX_SETS = 64 index sets, got {MAX_SETS + 1}"
+PNR8 = ["sample", "--model", "pnr", "--bins", "8", "--levels", "2", "--shots", "100",
+        "--witness"]
+PNR16 = ["sample", "--model", "pnr", "--bins", "16", "--levels", "6", "--shots", "100",
+         "--witness", "--set", "0:0:0:0:0:0:8"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -219,6 +226,14 @@ ONE_POINT = ["--start", "100", "--stop", "100", "--points", "1"]
     # the kernels hold every grid point at once
     (["sweep", "--bins", "5", "--points", str(MAX_POINTS + 1)],
      f"points must lie in 1..MAX_POINTS = {MAX_POINTS}, got {MAX_POINTS + 1}"),
+    # so do the rows of every index set
+    (["sweep", *ONOFF5_SETS, "--set", "0,1", "--points", "2"], SETS_MESSAGE),
+    (["witness", *ONOFF5_SETS, "--set", "0,1"], SETS_MESSAGE),
+    # 45 outcomes count as MAX_DIM^2 = 256 cells per redraw: each holds a
+    # 10 x 10 matrix besides its row
+    ([*PNR8, "--resamples", "78126"], "78126 resamples of 45 outcomes need 20000256 bootstrap "
+     "cells, resamples x max(outcomes, MAX_DIM^2 = 256), above MAX_BOOTSTRAP_CELLS = 20000000"),
+    ([*PNR16, "--resamples", "269"], "269 resamples of 74613 outcomes need 20070897 "),
 ])
 def test_rejected_before_any_kernel_call(argv, message):
     check_rejected(argv, message)
@@ -249,6 +264,68 @@ def test_a_fock_ratio_scenario_above_one_mode_is_rejected(mode_counts, tmp_path)
     path.write_text(json.dumps(dict(FOCK_RATIO, mode_counts=mode_counts)))
     check_rejected(["sweep", "--scenario", str(path)],
                    "fock states have one mode, got mode count 2")
+
+
+def cat_ratio(cases: list, mode_counts: list, alpha2: float) -> dict:
+    return {"name": "cat_ratio", "state": {"kind": "cat", "parity": "both"},
+            "criteria": ["moment_ratio", "mean_photon_number"], "cases": cases,
+            "mode_counts": mode_counts, "sweep": {"start": alpha2, "stop": alpha2, "points": 1}}
+
+
+# A case (n, m) squares a moment of order |n+m| and multiplies two of orders
+# 2|n| and 2|m|: at order 2|n+m| = 4 (case iii) the ratio was inf / inf past
+# |alpha|^2 = 1.16e77 and written as nan, no_violation; at order 6 (case iv)
+# past 2.38e51; a moment of order 3 overflowed in the kernel at 1e120.
+@pytest.mark.parametrize("cases, mode_counts, alpha2, message", [
+    (["iii"], [1], 2e77, "the expectation of order 4 overflows at |alpha|^2 = 2e+77, "),
+    (["iv"], [1], 1e52, "the expectation of order 6 overflows at |alpha|^2 = 1e+52, "),
+    (["ii", "iii"], [1], 1e120, "the expectation of order 4 overflows at |alpha|^2 = 1e+120, "),
+    (["iv"], [1], 1e100, "the expectation of order 6 overflows at |alpha|^2 = 1e+100, "),
+    # two modes split 2e77 into 1e77 per mode, which case iii admits
+    (["iii"], [2, 1], 2e77, "the expectation of order 4 overflows at |alpha|^2 = 2e+77, "),
+])
+def test_a_ratio_scenario_beyond_the_float_range_is_rejected(cases, mode_counts, alpha2,
+                                                             message, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cat_ratio(cases, mode_counts, alpha2)))
+    check_rejected(["sweep", "--scenario", str(path)], message)
+
+
+@pytest.mark.parametrize("cases, mode_counts, alpha2", [
+    (["iii"], [1], 1e77),
+    (["iii"], [2, 3], 2e77),
+    (["iv"], [1], 2e51),
+    (["ii"], [1], 1e120),
+])
+def test_a_ratio_scenario_within_the_float_range_writes_finite_rows(cases, mode_counts,
+                                                                    alpha2, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cat_ratio(cases, mode_counts, alpha2)))
+    check_admission(["sweep", "--scenario", str(path)], admitted=True)
+
+
+def test_pnr_dimension_is_checked_before_the_sets_are_listed(monkeypatch):
+    # (20, 6) took 6.6 s and 201 MB to list 64 sets before the first failed
+    def unlisted(*args, **kwargs):
+        raise AssertionError("the enumerator was called")
+
+    monkeypatch.setattr(scenarios, "enumerate_index_sets", unlisted)
+    check_rejected(["sweep", "--model", "pnr", "--bins", "20", "--levels", "6", "--points", "2"],
+                   "index set 'int-int-int-int-int-int-int' has dimension 8008; "
+                   "witness matrices are capped at dimension 16")
+    check_rejected(["sweep", "--model", "pnr", "--bins", "20", "--levels", "6",
+                    "--sets", "integer", "--points", "2"],
+                   "the multinomial model needs sets='all' or explicit sets")
+
+
+def test_a_json_scenario_with_more_sets_than_the_cap_is_rejected(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "name": "sets", "state": {"kind": "coherent"},
+        "detector": {"model": "onoff", "bins": 5}, "sets": [[0, 1]] * (MAX_SETS + 1),
+        "sweep": {"start": 0.1, "stop": 1.0, "points": 2},
+    }))
+    check_rejected(["sweep", "--scenario", str(path)], SETS_MESSAGE)
 
 
 def test_a_one_mode_fock_ratio_scenario_writes_its_rows(tmp_path):
@@ -289,6 +366,15 @@ def test_a_one_mode_fock_ratio_scenario_writes_its_rows(tmp_path):
 ])
 def test_admitted_near_the_limits(argv):
     check_admission(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", *ONOFF5_SETS, "--points", "2"],
+    # the default 200 resamples of 74613 outcomes
+    PNR16,
+])
+def test_admitted_at_the_caps(argv):
+    check_admission(argv, admitted=True)
 
 
 @pytest.mark.parametrize("eta", [0.01, 0.03, 0.3, 1.0])

@@ -133,8 +133,10 @@ CAPS = {
     "MAX_EXACT_N": "numerics",
     "MAX_MODES": "multimode",
     "MAX_POINTS": "scenarios",
+    "MAX_SETS": "scenarios",
     "MAX_LEVELS": "witnesses",
     "MIN_RESAMPLES": "sampler",
+    "MAX_BOOTSTRAP_CELLS": "sampler",
     "_MAX_SHOTS": "sampler",
     "_MAX_OUTCOMES": "detectors",
     "MAX_FACTORIAL": "detectors",

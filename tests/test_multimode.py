@@ -280,6 +280,20 @@ class TestRatioCriterion:
             assert got.verdict.tolist() == [[p.verdict for p in row] for row in points]
 
 
+class TestRatioResult:
+    def test_nan_ratios_have_no_verdict(self):
+        # inf / inf, as from moments beyond the float range, was no_violation
+        numer = np.array([[math.inf, 4.0], [0.0, 1.0]])
+        denom = np.array([[math.inf, 2.0], [0.0, 1.0]])
+        for divergent in (False, True):
+            with np.errstate(invalid="ignore"):
+                result = multimode._ratio_result(numer, denom, "iii", divergent)
+            assert np.isnan(result.ratio[0, 0]) and np.isnan(result.ratio[1, 0])
+            assert result.ratio[:, 1].tolist() == [2.0, 1.0]
+            assert result.verdict.tolist() == [[INDETERMINATE, NONCLASSICAL],
+                                               [INDETERMINATE, NO_VIOLATION]]
+
+
 class TestCountRatioCriterion:
     def test_divergent_at_unit_efficiency(self):
         state = make_cat(cat_amplitudes(1.0, 2), "odd")

@@ -17,10 +17,12 @@ from oracles import (
     single_pass_counts,
     uniform01,
 )
+from clickwitness import detectors
 from clickwitness.detectors import (
     CountDistribution,
     DetectorConfig,
     click_distribution,
+    outcome_count,
     photo_distribution,
     pnr_distribution,
 )
@@ -32,6 +34,10 @@ from clickwitness.sampler import (
     _count_by_buckets,
     _count_by_comparison,
     _mix_rounds,
+    DEFAULT_RESAMPLES,
+    MAX_BOOTSTRAP_CELLS,
+    SampleRun,
+    check_resamples,
     derive_seed,
     empirical_witness,
     read_histogram,
@@ -468,6 +474,18 @@ class TestBatchedBootstrap:
                 resolved = assert_matches_loop(run, ONOFF5, iset, resamples, kind)
                 assert resolved["klyshko_half"] == half_resolved
 
+    def test_a_klyshko_ratio_without_a_point_denominator_has_no_value(self):
+        # no shot on two clicks: the half ratio has no denominator in any row,
+        # the integer ratio reads 0 in every row
+        dist = click_distribution(make_cat(1.0, "odd"), ONOFF5)
+        run = SampleRun(5, 10, dist, (7, 3, 0, 0, 0, 0))
+        for iset in enumerate_index_sets(ONOFF5):
+            for kind in ("counts", "moments"):
+                resolved = assert_matches_loop(run, ONOFF5, iset, 20, kind)
+                assert list(resolved) == ["min_eig", "klyshko_integer"]
+        result = empirical_witness(run, ONOFF5, iset, resamples=20)
+        assert result.values["klyshko_integer"] == result.stderrs["klyshko_integer"] == 0.0
+
     @pytest.mark.parametrize("case", sorted(BOOTSTRAP_CASES))
     def test_report_equals_the_from_counts_matrix(self, case):
         # The point estimate is row 0 of the bootstrap stack.
@@ -501,6 +519,29 @@ class TestBatchedBootstrap:
                 continue
             result = empirical_witness(run, cfg, iset, resamples=3)
             assert list(result.values) == list(result.stderrs) == keys
+
+    def test_resamples_capped_by_the_outcome_count(self):
+        # the default stays admitted up to the largest pnr outcome space
+        check_resamples(DEFAULT_RESAMPLES, detectors._MAX_OUTCOMES)
+        check_resamples(MAX_BOOTSTRAP_CELLS // 256, 256)
+        for resamples, outcomes in ((DEFAULT_RESAMPLES + 1, detectors._MAX_OUTCOMES),
+                                    (MAX_BOOTSTRAP_CELLS // 256 + 1, 6)):
+            with pytest.raises(ValueError, match="above MAX_BOOTSTRAP_CELLS = 20000000"):
+                check_resamples(resamples, outcomes)
+        run = sample(click_distribution(make_cat(1.0, "odd"), ONOFF5), 1000, seed=1)
+        with pytest.raises(ValueError, match="MAX_BOOTSTRAP_CELLS"):
+            empirical_witness(run, ONOFF5, enumerate_index_sets(ONOFF5)[0],
+                              resamples=MAX_BOOTSTRAP_CELLS // 256 + 1)
+
+    @pytest.mark.parametrize("cfg, n_max, distribution", [
+        (DetectorConfig.photoelectric(0.5), 30, lambda s, c: photo_distribution(s, c, 30)),
+        (ONOFF5, 60, click_distribution),
+        (DetectorConfig.pnr(4, 2, 0.5), 60, pnr_distribution),
+        (DetectorConfig.pnr(3, 6, 0.5), 60, pnr_distribution),
+    ])
+    def test_outcome_count_is_the_distribution_size(self, cfg, n_max, distribution):
+        dist = distribution(make_cat(1.0, "odd"), cfg)
+        assert outcome_count(cfg, n_max) == len(dist.outcomes)
 
     def test_unknown_kind_rejected(self):
         run = sample(click_distribution(make_cat(1.0, "odd"), ONOFF5), 1000, seed=1)

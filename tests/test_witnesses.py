@@ -11,7 +11,7 @@ from clickwitness.detectors import (
     photo_distribution,
     pnr_distribution,
 )
-from clickwitness.numerics import HalfInt
+from clickwitness.numerics import MAX_DIM, HalfInt
 from clickwitness.states import FockVector, coherent_state, make_cat
 from clickwitness.witnesses import (
     _fill,
@@ -22,6 +22,7 @@ from clickwitness.witnesses import (
     NONCLASSICAL,
     NO_VIOLATION,
     IndexSet,
+    check_pnr_dimension,
     click_stats,
     count_matrix,
     count_matrix_from_counts,
@@ -137,6 +138,20 @@ class TestEnumeration:
                 assert len(set(elements)) == len(elements)
                 assert iset.elements == tuple(sorted(
                     elements, key=lambda e: tuple(part.twice for part in e)))
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bins", range(1, 13))
+    def test_pnr_dimension_check_names_the_largest_set(self, bins, levels):
+        cfg = DetectorConfig.pnr(bins, levels, 0.5)
+        sets = enumerate_index_sets(cfg)
+        largest = sets[0]
+        assert len(largest.elements) == max(len(s.elements) for s in sets)
+        if len(largest.elements) > MAX_DIM:
+            message = f"index set '{largest.label}' has dimension {len(largest.elements)};"
+            with pytest.raises(ValueError, match=message):
+                check_pnr_dimension(cfg)
+        else:
+            check_pnr_dimension(cfg)
 
 class TestPairSums:
     @pytest.mark.parametrize("cfg", [
